@@ -93,6 +93,33 @@ void BM_L2sScoreAll(benchmark::State& state) {
 }
 BENCHMARK(BM_L2sScoreAll)->Arg(4)->Arg(16)->Arg(64);
 
+/// E[max] over n input shards: the exact phase-type sweep up to
+/// latency::kExactMaxShards, the quadrature fallback at cap + 1. Args: n,
+/// equal rates (0/1: mean_comm == mean_verify, Erlang-2). The sweep grows
+/// ~3.3× per shard while the fallback grows linearly; the cap is the last n
+/// at which the sweep is cheaper.
+void BM_ExpectedMaxTwoPhase(benchmark::State& state) {
+  std::vector<latency::ShardTiming> timings(
+      static_cast<std::size_t>(state.range(0)));
+  Rng rng(5);
+  for (auto& timing : timings) {
+    timing.mean_comm = rng.uniform(0.05, 0.3);
+    timing.mean_verify =
+        state.range(1) != 0 ? timing.mean_comm : rng.uniform(0.5, 8.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(latency::expected_max_two_phase(timings));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExpectedMaxTwoPhase)
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       2, static_cast<std::int64_t>(latency::kExactMaxShards) +
+                              1,
+                       1),
+                   {0}})
+    ->Args({4, 1});
+
 struct NullHandler final : sim::EventHandler {
   void on_event(const sim::Event&) override {}
 };

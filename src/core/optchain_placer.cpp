@@ -4,6 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "obs/phase_profiler.hpp"
+
 namespace optchain::core {
 
 OptChainPlacer::OptChainPlacer(
@@ -24,7 +26,10 @@ placement::ShardId OptChainPlacer::choose(
 
   // Step 1-2: normalized T2S scores (all-zero for coinbase), computed into
   // the reused member buffer.
-  scorer_.score(dag_, request.index, assignment, last_scores_);
+  {
+    obs::ScopedPhase timer(obs::Phase::kPlaceT2s);
+    scorer_.score(dag_, request.index, assignment, last_scores_);
+  }
   return select(request, assignment);
 }
 
@@ -37,7 +42,10 @@ placement::ShardId OptChainPlacer::select(
   if (!request.timings.empty() && config_.l2s_weight > 0.0) {
     OPTCHAIN_EXPECTS(request.timings.size() == k);
     assignment.input_shards(request.input_txs, input_shards_scratch_);
-    l2s_.score_all(request.timings, input_shards_scratch_, l2s_scratch_);
+    {
+      obs::ScopedPhase timer(obs::Phase::kPlaceL2s);
+      l2s_.score_all(request.timings, input_shards_scratch_, l2s_scratch_);
+    }
     for (std::uint32_t j = 0; j < k; ++j) {
       last_scores_[j] -= config_.l2s_weight * l2s_scratch_[j];
     }

@@ -15,12 +15,24 @@
 // the user "only needs to submit the transaction to the shard and wait for
 // confirmation").
 //
-// E[max] has no closed form for heterogeneous rates; we compute it as
-// ∫₀^∞ (1 − Π_i F⁽ⁱ⁾(t)) dt by quadrature. The paper's Algorithm 1 writes the
-// expectation as a self-convolution of the proof-gathering density; that
-// reading (E = 2·E[max]) is available as L2sMode::kPaperSelfConvolution.
+// E[max] is computed exactly. The max of n independent two-phase chains is
+// itself phase-type: each shard is communicating, verifying or done, so the
+// joint chain has 3^n states s. The expected time h(s) to all-done obeys
+//     h(s) = (1 + Σ_i r_i(s) · h(s + e_i)) / Σ_i r_i(s),   h(all done) = 0,
+// with r_i(s) shard i's current rate (λ_c, λ_v, or 0 once done). Every
+// transition moves one base-3 digit forward, so one reverse sweep over the
+// state index solves it. Every term is positive, so nothing cancels, and
+// equal rates (Erlang-2) need no special case. The sweep costs O(n·3^n): up
+// to kExactMaxShards input shards it beats integration; above that, E[max]
+// falls back to Simpson quadrature of ∫₀^∞ (1 − Π_i F⁽ⁱ⁾(t)) dt. The cap is
+// measured by BM_ExpectedMaxTwoPhase in bench/bench_micro.cpp.
+//
+// The paper's Algorithm 1 writes the expectation as a self-convolution of
+// the proof-gathering density; that reading (E = 2·E[max]) is available as
+// L2sMode::kPaperSelfConvolution.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,8 +58,12 @@ inline double expected_two_phase(const ShardTiming& timing) noexcept {
   return timing.mean_comm + timing.mean_verify;
 }
 
-/// E[max over the given shards of (l_c + l_v)], by quadrature on the
-/// complementary CDF. Empty input yields 0.
+/// Largest proof set whose E[max] is solved exactly (3^n-state sweep);
+/// larger sets use the quadrature fallback.
+inline constexpr std::size_t kExactMaxShards = 8;
+
+/// E[max over the given shards of (l_c + l_v)]: exact up to
+/// kExactMaxShards shards, quadrature above. Empty input yields 0.
 double expected_max_two_phase(std::span<const ShardTiming> timings);
 
 enum class L2sMode : std::uint8_t {
@@ -73,24 +89,20 @@ class L2sEstimator {
                std::span<const std::uint32_t> input_shards,
                std::uint32_t candidate) const;
 
-  /// Scores all k candidates at once (reuses the proof-phase integral across
-  /// candidates that share the same proof set). Non-const: the proof-set
-  /// scratch buffer is reused across calls, so a shared estimator is not
-  /// concurrently callable — which the signature now says out loud.
-  std::vector<double> score_all(std::span<const ShardTiming> timings,
-                                std::span<const std::uint32_t> input_shards);
+  /// Scores all k candidates at once (computes the proof-phase expectation
+  /// once for every cross candidate).
+  std::vector<double> score_all(
+      std::span<const ShardTiming> timings,
+      std::span<const std::uint32_t> input_shards) const;
 
   /// As above, into a caller-reused buffer (assign semantics) — the per-issue
-  /// hot path of the simulator.
+  /// hot path of the simulator. Allocation-free once `out` has capacity k.
   void score_all(std::span<const ShardTiming> timings,
                  std::span<const std::uint32_t> input_shards,
-                 std::vector<double>& out);
+                 std::vector<double>& out) const;
 
  private:
   L2sConfig config_;
-  /// Scratch for the proof-gathering set (input-shard timings); reused so
-  /// score_all allocates nothing in steady state.
-  std::vector<ShardTiming> proof_scratch_;
 };
 
 }  // namespace optchain::latency

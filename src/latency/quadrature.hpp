@@ -1,4 +1,5 @@
-// Numerical integration helpers for the L2S latency expectations.
+// Numerical integration helpers: the L2S E[max] fallback above
+// kExactMaxShards input shards, and the high-resolution test references.
 #pragma once
 
 #include <concepts>

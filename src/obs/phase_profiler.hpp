@@ -4,8 +4,8 @@
 // the phase-B coordinator replay (it is the serial fraction — Amdahl
 // ceiling)". PhaseProfiler answers that with scoped wall-clock timers on a
 // fixed set of engine phases — the parallel engine's phase-A/phase-B split,
-// the batch front-end's prepare/score/commit stages, and SweepRunner cell
-// execution — surfaced as the `profile` section of api::RunReport and the
+// the OptChain placer's T2S/L2S scoring split, the batch front-end's
+// prepare/score/commit stages, and SweepRunner cell execution — surfaced as the `profile` section of api::RunReport and the
 // bench JSON.
 //
 // Wall-clock data is STRICTLY segregated from simulated-time results
@@ -30,6 +30,8 @@ namespace optchain::obs {
 enum class Phase : std::uint8_t {
   kSimPhaseA = 0,   ///< parallel engine: workers execute a window
   kSimPhaseB,       ///< parallel engine: coordinator merged replay (serial)
+  kPlaceT2s,        ///< OptChain placer: T2S scoring of one transaction
+  kPlaceL2s,        ///< OptChain placer: L2S scoring of one transaction
   kBatchPrepare,    ///< batch front-end: drain + TaN registration
   kBatchScore,      ///< batch front-end: parallel gather/score
   kBatchCommit,     ///< batch front-end: sequential argmax + commit

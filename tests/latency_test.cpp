@@ -2,7 +2,10 @@
 // quadrature, and the estimator's protocol semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -83,6 +86,39 @@ TEST(TwoPhaseTest, PdfMatchesCdfDerivative) {
   }
 }
 
+// Across the equal-rate limit the CDF must move only by its first-order
+// term: with λ_c = λ and λ_v = λ(1 + g), F_g(t) = F_0(t) + g·(λt)²e^{−λt}/2
+// + O(g²). The textbook difference form loses ~8 digits at g = 1e-8.
+TEST(TwoPhaseTest, CdfContinuousAcrossEqualRates) {
+  constexpr double kLambda = 2.5;
+  for (const double t : {0.05, 0.4, 1.0, 3.0, 12.0}) {
+    const double erlang = two_phase_cdf({1.0 / kLambda, 1.0 / kLambda}, t);
+    const double lt = kLambda * t;
+    for (const double gap : {1e-10, -1e-10, 1e-8, -1e-8}) {
+      const ShardTiming timing{1.0 / kLambda, 1.0 / (kLambda * (1.0 + gap))};
+      const double predicted = erlang + gap * lt * lt * std::exp(-lt) / 2.0;
+      EXPECT_NEAR(two_phase_cdf(timing, t), predicted, 1e-12)
+          << "t=" << t << " gap=" << gap;
+      // The density's first-order term: g·λ²t·e^{−λt}·(1 − λt/2).
+      const double density = two_phase_pdf({1.0 / kLambda, 1.0 / kLambda}, t) +
+                             gap * kLambda * lt * std::exp(-lt) *
+                                 (1.0 - lt / 2.0);
+      EXPECT_NEAR(two_phase_pdf(timing, t), density, 1e-12)
+          << "t=" << t << " gap=" << gap;
+    }
+  }
+}
+
+TEST(TwoPhaseTest, FastCommFiniteAtLargeTimes) {
+  // λ_c ≫ λ_v: the hypoexponential is symmetric in its rates, so nothing
+  // overflows far into the tail.
+  const ShardTiming timing{1e-12, 1.0};
+  for (const double t : {1e-3, 1.0, 50.0, 800.0}) {
+    EXPECT_TRUE(std::isfinite(two_phase_pdf(timing, t)));
+    EXPECT_NEAR(two_phase_cdf(timing, t), -std::expm1(-t), 1e-9);
+  }
+}
+
 TEST(TwoPhaseTest, MeanByQuadratureMatchesClosedForm) {
   const ShardTiming timing{0.25, 1.75};
   // E[T] = ∫ (1 - F(t)) dt.
@@ -131,6 +167,126 @@ TEST(ExpectedMaxTest, OrderInvariant) {
   const std::vector<ShardTiming> a{{0.1, 0.5}, {0.3, 2.0}};
   const std::vector<ShardTiming> b{{0.3, 2.0}, {0.1, 0.5}};
   EXPECT_NEAR(expected_max_two_phase(a), expected_max_two_phase(b), 1e-9);
+}
+
+// ---------------------------------------------------- E[max] exactness
+
+/// High-resolution reference: Simpson with 200k points out to 40 times the
+/// largest mean (truncation ~e^-40).
+double reference_expected_max(const std::vector<ShardTiming>& timings) {
+  double max_mean = 0.0;
+  for (const auto& timing : timings) {
+    max_mean = std::max(max_mean, expected_two_phase(timing));
+  }
+  return integrate_decaying(
+      [&](double t) {
+        double prod = 1.0;
+        for (const auto& timing : timings) prod *= two_phase_cdf(timing, t);
+        return 1.0 - prod;
+      },
+      max_mean, 40.0, 200000);
+}
+
+/// The accuracy promised at this proof-set size: exact up to the cap, the
+/// quadrature fallback's tolerance above it.
+double tolerance_for(std::size_t n) {
+  return n <= kExactMaxShards ? 1e-9 : 1e-4;
+}
+
+void expect_matches_reference(const std::vector<ShardTiming>& timings,
+                              const std::string& label) {
+  const double value = expected_max_two_phase(timings);
+  ASSERT_TRUE(std::isfinite(value)) << label;
+  ASSERT_GE(value, 0.0) << label;
+  const double reference = reference_expected_max(timings);
+  EXPECT_LE(std::abs(value - reference),
+            tolerance_for(timings.size()) * reference)
+      << label << ": n=" << timings.size() << " value=" << value
+      << " reference=" << reference;
+}
+
+/// Shard timings drawn from the simulator's range: communication 0.05–0.5 s,
+/// verification 0.2–8 s.
+std::vector<ShardTiming> random_timings(std::size_t n, Rng& rng) {
+  std::vector<ShardTiming> timings(n);
+  for (auto& timing : timings) {
+    timing.mean_comm = rng.uniform(0.05, 0.5);
+    timing.mean_verify = rng.uniform(0.2, 8.0);
+  }
+  return timings;
+}
+
+constexpr std::size_t kLargestTested = kExactMaxShards + 2;
+
+TEST(ExpectedMaxExactnessTest, RandomTimingsMatchReference) {
+  Rng rng(2024);
+  for (std::size_t n = 2; n <= kLargestTested; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      expect_matches_reference(random_timings(n, rng),
+                               "random trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(ExpectedMaxExactnessTest, EqualRatesWithinShard) {
+  // mean_comm == mean_verify: every shard is Erlang-2.
+  Rng rng(11);
+  for (std::size_t n = 2; n <= kLargestTested; ++n) {
+    std::vector<ShardTiming> timings(n);
+    for (auto& timing : timings) {
+      timing.mean_comm = timing.mean_verify = rng.uniform(0.3, 3.0);
+    }
+    expect_matches_reference(timings, "erlang");
+  }
+}
+
+TEST(ExpectedMaxExactnessTest, NearEqualRates) {
+  // Relative rate gaps inside each shard and between shards.
+  for (const double gap : {1e-12, 1e-8, 1e-6, 1e-3}) {
+    for (std::size_t n = 2; n <= kLargestTested; ++n) {
+      std::vector<ShardTiming> within(n);
+      std::vector<ShardTiming> across(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double mean = 0.5 + 0.25 * static_cast<double>(i);
+        within[i] = {mean, mean * (1.0 + gap)};
+        const double shared = 1.0 * (1.0 + gap * static_cast<double>(i));
+        across[i] = {0.2 * shared, shared};
+      }
+      const std::string label = "gap " + std::to_string(gap);
+      expect_matches_reference(within, label + " within");
+      expect_matches_reference(across, label + " across");
+    }
+  }
+}
+
+TEST(ExpectedMaxExactnessTest, IdenticalShards) {
+  for (std::size_t n = 2; n <= kLargestTested; ++n) {
+    expect_matches_reference(std::vector<ShardTiming>(n, {0.1, 1.0}),
+                             "identical");
+  }
+}
+
+TEST(ExpectedMaxExactnessTest, ClampedTinyMeans) {
+  // The NonNegativeScores case: means below the 1e-9 clamp.
+  const std::vector<ShardTiming> timings{{1e-12, 1e-12}, {0.1, 1.0}};
+  expect_matches_reference(timings, "clamped");
+  EXPECT_NEAR(expected_max_two_phase(timings), 1.1, 1e-8);
+}
+
+TEST(ExpectedMaxExactnessTest, AddingAShardNeverLowersTheMax) {
+  Rng rng(77);
+  for (int trial = 0; trial < 5; ++trial) {
+    const std::vector<ShardTiming> all = random_timings(kLargestTested, rng);
+    double previous = 0.0;
+    for (std::size_t n = 1; n <= all.size(); ++n) {
+      const double value = expected_max_two_phase(
+          std::span<const ShardTiming>(all.data(), n));
+      // The step onto the quadrature fallback may lose up to its tolerance.
+      EXPECT_GE(value, previous * (1.0 - tolerance_for(n)))
+          << "trial " << trial << " n=" << n;
+      previous = value;
+    }
+  }
 }
 
 // -------------------------------------------------------------- estimator
@@ -208,7 +364,7 @@ TEST(L2sEstimatorTest, NonNegativeScores) {
 
 /// Empirically samples the protocol's latency (draw l_c + l_v per shard,
 /// take the max over input shards, add the commit phase) and compares the
-/// mean against the quadrature-based estimator.
+/// mean against the exact estimator.
 double monte_carlo_cross_latency(const std::vector<ShardTiming>& timings,
                                  const std::vector<std::uint32_t>& inputs,
                                  std::uint32_t candidate, int samples,

@@ -484,5 +484,26 @@ TEST(PhaseProfilerTest, ProfiledRunReportsParallelPhases) {
             std::string::npos);
 }
 
+TEST(PhaseProfilerTest, ProfiledRunSplitsOptChainPlacement) {
+  workload::BitcoinLikeGenerator generator({}, 6);
+  const std::vector<tx::Transaction> txs = generator.generate(400);
+  api::RunSpec spec;
+  spec.method = "OptChain";
+  spec.num_shards = 4;
+  spec.rate_tps = 400.0;
+  spec.profile = true;
+  const api::RunReport report = api::simulate(spec, txs);
+  // Every transaction is T2S-scored; the simulator hands the placer shard
+  // timings, so L2S runs too.
+  std::uint64_t t2s_calls = 0, l2s_calls = 0;
+  for (const api::ProfileEntry& entry : report.profile) {
+    if (entry.phase == "place.t2s") t2s_calls = entry.calls;
+    if (entry.phase == "place.l2s") l2s_calls = entry.calls;
+  }
+  EXPECT_EQ(t2s_calls, txs.size());
+  EXPECT_GT(l2s_calls, 0u);
+  EXPECT_LE(l2s_calls, t2s_calls);
+}
+
 }  // namespace
 }  // namespace optchain

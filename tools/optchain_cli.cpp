@@ -46,8 +46,9 @@
 // --sim_jobs=N selects the conservative parallel engine (0 = sequential),
 // --place_jobs=N / --batch=N the micro-batched placement front-end — both
 // bit-identical speed knobs. --profile adds wall-clock engine-phase rows
-// (obs::PhaseProfiler: the parallel engine's phase-A/phase-B split, the
-// batch front-end's prepare/score/commit) to the report. --trace_out=PATH
+// (obs::PhaseProfiler: the OptChain placer's T2S/L2S scoring split, the
+// parallel engine's phase-A/phase-B split, the batch front-end's
+// prepare/score/commit) to the report. --trace_out=PATH
 // attaches an obs::RunTracer and writes the run's full lifecycle telemetry
 // as an .otrace container (per-tx issue→commit spans, blocks, queue/link
 // samples, churn/re-partition events) — export to Perfetto with
