@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <unordered_map>
+#include <utility>
 
 #include "api/placement_pipeline.hpp"
 #include "common/hash.hpp"
@@ -14,6 +16,8 @@
 #include "metis/kway_partitioner.hpp"
 #include "placement/random_placer.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fabric/fabric.hpp"
+#include "sim/ledger.hpp"
 #include "sim/simulation.hpp"
 #include "sim/tree_gossip.hpp"
 #include "workload/bitcoin_like_generator.hpp"
@@ -142,6 +146,116 @@ void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024);
+
+/// The engine's outpoint ledger behind the map interface of the benchmark:
+/// sim::OutpointLedger (Arg 0) against the std::unordered_map it replaced
+/// (Arg 1).
+struct LedgerAdapter {
+  sim::OutpointLedger table;
+  void reserve(std::size_t n) { table.reserve(n); }
+  bool held_by_other(std::uint64_t key, std::uint32_t owner) const {
+    const sim::OutpointLedger::Entry* entry = table.find(key);
+    return entry != nullptr && entry->owner != owner;
+  }
+  void set(std::uint64_t key, sim::OutpointState state, std::uint32_t owner) {
+    table.assign(key, state, owner);
+  }
+  void erase(std::uint64_t key) { table.erase(key); }
+};
+struct UnorderedMapAdapter {
+  std::unordered_map<std::uint64_t,
+                     std::pair<sim::OutpointState, std::uint32_t>>
+      table;
+  void reserve(std::size_t n) { table.reserve(n); }
+  bool held_by_other(std::uint64_t key, std::uint32_t owner) const {
+    const auto it = table.find(key);
+    return it != table.end() && it->second.second != owner;
+  }
+  void set(std::uint64_t key, sim::OutpointState state, std::uint32_t owner) {
+    table[key] = {state, owner};
+  }
+  void erase(std::uint64_t key) { table.erase(key); }
+};
+
+/// One transaction's ledger traffic at ~300k live outpoints: a conflict
+/// check of a random spent outpoint, then lock and spend of two fresh ones
+/// (find + set each), and the erase of the two oldest, which holds the live
+/// count steady.
+template <typename Table>
+void run_ledger_mix(benchmark::State& state) {
+  constexpr std::uint32_t kLiveTxs = 150'000;  // two outpoints each
+  const auto key = [](std::uint32_t tx, std::uint32_t vout) {
+    return sim::OutpointLedger::key_of(tx::OutPoint{tx, vout});
+  };
+  Table table;
+  table.reserve(std::size_t{kLiveTxs} * 2 * 4 / 3);
+  for (std::uint32_t tx = 0; tx < kLiveTxs; ++tx) {
+    table.set(key(tx, 0), sim::OutpointState::kSpent, tx);
+    table.set(key(tx, 1), sim::OutpointState::kSpent, tx);
+  }
+  Rng rng(21);
+  std::uint32_t oldest = 0;
+  std::uint64_t conflicts = 0;
+  for (auto _ : state) {
+    const std::uint32_t tx = oldest + kLiveTxs;
+    const auto probe =
+        oldest + static_cast<std::uint32_t>(rng.below(kLiveTxs));
+    conflicts += table.held_by_other(key(probe, 1), tx) ? 1 : 0;
+    for (std::uint32_t vout = 0; vout < 2; ++vout) {
+      if (!table.held_by_other(key(tx, vout), tx)) {
+        table.set(key(tx, vout), sim::OutpointState::kLocked, tx);
+      }
+    }
+    for (std::uint32_t vout = 0; vout < 2; ++vout) {
+      if (!table.held_by_other(key(tx, vout), tx)) {
+        table.set(key(tx, vout), sim::OutpointState::kSpent, tx);
+      }
+      table.erase(key(oldest, vout));
+    }
+    ++oldest;
+  }
+  benchmark::DoNotOptimize(conflicts);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+void BM_OutpointLedger(benchmark::State& state) {
+  if (state.range(0) == 0) {
+    state.SetLabel("OutpointLedger");
+    run_ledger_mix<LedgerAdapter>(state);
+  } else {
+    state.SetLabel("std::unordered_map");
+    run_ledger_mix<UnorderedMapAdapter>(state);
+  }
+}
+BENCHMARK(BM_OutpointLedger)->Arg(0)->Arg(1);
+
+/// LinkFabric::message_delay of a 512-byte proof from an uplink with 120 s
+/// of backlog under the wan preset (256 KiB queue, 1 s retransmit timeout):
+/// every send is tail-dropped ~120 times before it is admitted. Sends are
+/// spaced by their own serialization time, so the backlog holds steady.
+void BM_FabricSaturatedSend(benchmark::State& state) {
+  const sim::FabricConfig config = sim::fabric_preset("wan");
+  const sim::NetworkModel flat;
+  sim::LinkFabric fabric(config, flat, 5);
+  fabric.add_endpoint();
+  fabric.add_endpoint();
+  const sim::Position from{0.2, 0.3};
+  const sim::Position to{0.7, 0.6};
+  // An idle uplink admits any one send: 120 s worth of bytes at once.
+  fabric.message_delay(
+      0.0, 0, 1, from, to,
+      static_cast<std::uint64_t>(120.0 * config.link.bandwidth_bps / 8.0));
+  const double spacing = 512.0 * 8.0 / config.link.bandwidth_bps;
+  double now = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fabric.message_delay(now, 0, 1, from, to, 512));
+    now += spacing;
+  }
+  state.counters["drops_per_send"] =
+      static_cast<double>(fabric.stats().drops) /
+      static_cast<double>(fabric.stats().messages - 1);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FabricSaturatedSend);
 
 void BM_MetisPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -8,6 +8,10 @@ const char* phase_name(Phase phase) noexcept {
       return "sim.parallel.phase_a";
     case Phase::kSimPhaseB:
       return "sim.parallel.phase_b";
+    case Phase::kSimLedger:
+      return "sim.ledger";
+    case Phase::kSimFabric:
+      return "sim.fabric";
     case Phase::kPlaceT2s:
       return "place.t2s";
     case Phase::kPlaceL2s:

@@ -4,7 +4,8 @@
 // the phase-B coordinator replay (it is the serial fraction — Amdahl
 // ceiling)". PhaseProfiler answers that with scoped wall-clock timers on a
 // fixed set of engine phases — the parallel engine's phase-A/phase-B split,
-// the OptChain placer's T2S/L2S scoring split, the batch front-end's
+// the sequential engine's outpoint ledger and link fabric, the OptChain
+// placer's T2S/L2S scoring split, the batch front-end's
 // prepare/score/commit stages, and SweepRunner cell execution — surfaced as the `profile` section of api::RunReport and the
 // bench JSON.
 //
@@ -30,6 +31,8 @@ namespace optchain::obs {
 enum class Phase : std::uint8_t {
   kSimPhaseA = 0,   ///< parallel engine: workers execute a window
   kSimPhaseB,       ///< parallel engine: coordinator merged replay (serial)
+  kSimLedger,       ///< sequential engine: outpoint lock, release and spend
+  kSimFabric,       ///< LinkFabric::message_delay (either engine)
   kPlaceT2s,        ///< OptChain placer: T2S scoring of one transaction
   kPlaceL2s,        ///< OptChain placer: L2S scoring of one transaction
   kBatchPrepare,    ///< batch front-end: drain + TaN registration
@@ -75,6 +78,18 @@ class PhaseProfiler {
   /// Adds `nanos` wall-clock nanoseconds to a phase slot. Thread-safe.
   void add(Phase phase, std::uint64_t nanos) noexcept;
 
+  /// Counts one call of a phase slot without timing it; returns the count
+  /// before this call. Thread-safe.
+  std::uint64_t count_call(Phase phase) noexcept {
+    return slots_[static_cast<std::size_t>(phase)].calls.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  /// Adds `nanos` to a phase slot without counting a call. Thread-safe.
+  void add_nanos(Phase phase, std::uint64_t nanos) noexcept {
+    slots_[static_cast<std::size_t>(phase)].nanos.fetch_add(
+        nanos, std::memory_order_relaxed);
+  }
+
   /// Non-empty slots in enum order, converted to seconds.
   std::vector<PhaseEntry> snapshot() const;
 
@@ -88,6 +103,15 @@ class PhaseProfiler {
   std::array<Slot, static_cast<std::size_t>(Phase::kCount)> slots_;
 };
 
+/// Wall-clock nanoseconds since `start`.
+inline std::uint64_t nanos_since(
+    std::chrono::steady_clock::time_point start) noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 /// RAII wall-clock timer for one phase. When the global profiler is
 /// disabled, construction is a single relaxed load and nothing is timed.
 class ScopedPhase {
@@ -100,14 +124,7 @@ class ScopedPhase {
 
   /// Stops the timer and accumulates the elapsed wall-clock into the slot.
   ~ScopedPhase() {
-    if (active_) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      PhaseProfiler::instance().add(
-          phase_, static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          elapsed)
-                          .count()));
-    }
+    if (active_) PhaseProfiler::instance().add(phase_, nanos_since(start_));
   }
 
   /// Not copyable (a scope times exactly one section).
@@ -118,6 +135,41 @@ class ScopedPhase {
  private:
   Phase phase_;
   bool active_;
+  std::chrono::steady_clock::time_point start_{};
+};
+
+/// ScopedPhase for sections too short and too frequent to time each call
+/// within the telemetry budget (the engine's per-message fabric and ledger
+/// calls): every call is counted, one in kStride is timed, and its time is
+/// scaled by kStride, so the slot's seconds are an estimate. Disabled, it
+/// costs the same single relaxed load.
+class SampledPhase {
+ public:
+  static constexpr std::uint64_t kStride = 16;
+
+  /// Counts the call and times it if it is one of the sampled ones.
+  explicit SampledPhase(Phase phase) noexcept : phase_(phase) {
+    PhaseProfiler& profiler = PhaseProfiler::instance();
+    active_ = profiler.enabled() && profiler.count_call(phase) % kStride == 0;
+    if (active_) start_ = std::chrono::steady_clock::now();
+  }
+
+  /// Adds the sampled call's time, scaled by kStride.
+  ~SampledPhase() {
+    if (active_) {
+      PhaseProfiler::instance().add_nanos(phase_,
+                                          nanos_since(start_) * kStride);
+    }
+  }
+
+  /// Not copyable (a scope times exactly one section).
+  SampledPhase(const SampledPhase&) = delete;
+  /// Not copy-assignable.
+  SampledPhase& operator=(const SampledPhase&) = delete;
+
+ private:
+  Phase phase_;
+  bool active_ = false;
   std::chrono::steady_clock::time_point start_{};
 };
 

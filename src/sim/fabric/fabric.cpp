@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "obs/phase_profiler.hpp"
 
 namespace optchain::sim {
 namespace {
@@ -87,6 +89,31 @@ FabricConfig fabric_preset(std::string_view name) {
                               " (try off|flat|wan|congested)");
 }
 
+Retransmit retransmit_schedule(double now, double busy_until,
+                               const LinkConfig& link,
+                               double timeout) noexcept {
+  const auto admitted = [&](double t) {
+    const double wait = busy_until > t ? busy_until - t : 0.0;
+    return wait * link.bandwidth_bps / 8.0 <=
+           static_cast<double>(link.queue_bytes);
+  };
+  if (admitted(now)) return {0, now};
+  // The drop count n is the smallest n with busy_until − (now + n·timeout)
+  // within the queue's capacity. The quotient can land one step off at the
+  // boundary through rounding; the admission predicate is monotone in n,
+  // so stepping until it flips settles n exactly.
+  const double capacity_s =
+      static_cast<double>(link.queue_bytes) * 8.0 / link.bandwidth_bps;
+  auto drops = static_cast<std::uint64_t>(
+      std::max(1.0, std::ceil(((busy_until - now) - capacity_s) / timeout)));
+  const auto depart = [&](std::uint64_t n) {
+    return now + static_cast<double>(n) * timeout;
+  };
+  while (!admitted(depart(drops))) ++drops;
+  while (drops > 1 && admitted(depart(drops - 1))) --drops;
+  return {drops, depart(drops)};
+}
+
 LinkFabric::LinkFabric(const FabricConfig& config, const NetworkModel& flat,
                        std::uint64_t sim_seed)
     : config_(config),
@@ -104,6 +131,20 @@ LinkFabric::LinkFabric(const FabricConfig& config, const NetworkModel& flat,
 std::uint32_t LinkFabric::add_endpoint() {
   const auto id = static_cast<std::uint32_t>(endpoints_.size());
   endpoints_.push_back(Endpoint{});
+  if (config_.enabled && config_.max_jitter_s > 0.0 && id >= jitter_stride_) {
+    // Double the row stride and re-lay out the counters: endpoints join
+    // mid-run under churn, and their pairs' stream positions must survive.
+    const std::uint32_t stride = jitter_stride_ == 0 ? 16 : jitter_stride_ * 2;
+    std::vector<std::uint64_t> grown(std::size_t{stride} * stride, 0);
+    for (std::uint32_t from = 0; from < jitter_stride_; ++from) {
+      std::copy_n(jitter_counters_.begin() +
+                      std::ptrdiff_t{from} * jitter_stride_,
+                  jitter_stride_,
+                  grown.begin() + std::ptrdiff_t{from} * stride);
+    }
+    jitter_counters_.swap(grown);
+    jitter_stride_ = stride;
+  }
   return id;
 }
 
@@ -142,13 +183,15 @@ double LinkFabric::jitter(std::uint32_t from, std::uint32_t to) {
   const std::uint64_t pair =
       (static_cast<std::uint64_t>(from) << 32) | to;
   const std::uint64_t stream = mix64(sim_seed_ ^ mix64(kJitterSalt + pair));
-  const std::uint64_t counter = jitter_counters_[pair]++;
+  const std::uint64_t counter =
+      jitter_counters_[std::size_t{from} * jitter_stride_ + to]++;
   return config_.max_jitter_s * u01(mix64(stream + counter));
 }
 
 double LinkFabric::message_delay(double now, std::uint32_t from,
                                  std::uint32_t to, const Position& from_pos,
                                  const Position& to_pos, std::uint64_t bytes) {
+  obs::SampledPhase timer(obs::Phase::kSimFabric);
   if (!config_.enabled) return flat_->message_delay(from_pos, to_pos, bytes);
   OPTCHAIN_ASSERT(from < endpoints_.size() && to < endpoints_.size());
   ++stats_.messages;
@@ -165,26 +208,16 @@ double LinkFabric::message_delay(double now, std::uint32_t from,
   } else {
     Endpoint& src = endpoints_[from];
     const double ser = tier.transfer_time(bytes);
-    // Tail drop + retransmit: each timeout drains timeout × bw / 8 bytes of
-    // the (fixed) backlog ahead of us, so the loop always terminates; a
-    // send finding an empty queue is always admitted.
-    double depart = now;
-    while (true) {
-      const double wait =
-          src.busy_until > depart ? src.busy_until - depart : 0.0;
-      const double backlog_bytes =
-          wait * config_.link.bandwidth_bps / 8.0;
-      if (backlog_bytes > static_cast<double>(config_.link.queue_bytes)) {
-        ++stats_.drops;
-        ++src.drops;
-        depart += config_.retransmit_timeout_s;
-        continue;
-      }
-      stats_.peak_backlog_s = std::max(stats_.peak_backlog_s, wait);
-      src.busy_until = depart + wait + ser;
-      depart += wait;
-      break;
-    }
+    const Retransmit retry = retransmit_schedule(
+        now, src.busy_until, config_.link, config_.retransmit_timeout_s);
+    stats_.drops += retry.drops;
+    src.drops += retry.drops;
+    double depart = retry.depart;
+    const double wait =
+        src.busy_until > depart ? src.busy_until - depart : 0.0;
+    stats_.peak_backlog_s = std::max(stats_.peak_backlog_s, wait);
+    src.busy_until = depart + wait + ser;
+    depart += wait;
     const double queued = depart - now;  // retransmit waits + queueing
     stats_.queue_delay_s += queued;
     delay = queued + ser + tier.propagation_delay(from_pos, to_pos);
@@ -211,7 +244,7 @@ void LinkFabric::sample_links(double now,
 
 void LinkFabric::reset_state() {
   for (Endpoint& endpoint : endpoints_) endpoint = Endpoint{};
-  jitter_counters_.clear();
+  std::fill(jitter_counters_.begin(), jitter_counters_.end(), 0);
   stats_ = Stats{};
 }
 

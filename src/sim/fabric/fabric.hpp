@@ -9,15 +9,15 @@
 // `queue_bytes > 0`, a finite FIFO measured by the bytes still waiting to
 // serialize. Delivering a message of b bytes sent at time t:
 //
-//   wait  = max(0, uplink busy-until − t)         (queueing behind earlier
+//   drop  while max(0, busy-until − d) × bandwidth / 8 > queue_bytes, where
+//         d = t + n × retransmit_timeout_s after n tail drops: the send
+//         departs at d for the smallest such n (closed form, no loop)
+//   wait  = max(0, uplink busy-until − d)         (queueing behind earlier
 //                                                  sends on the same uplink)
-//   drop  if wait × bandwidth / 8 > queue_bytes:  tail drop; retry the whole
-//                                                  computation at
-//                                                  t + retransmit_timeout_s
 //   ser   = b × 8 / bandwidth                     (serialization)
 //   prop  = region-tier base + distance term      (+ straggler extras)
 //   jit   = uniform draw from the directed pair's counter stream
-//   delay = wait + ser + prop + jit               (and busy-until ← t + wait
+//   delay = (d − t) + wait + ser + prop + jit     (and busy-until ← d + wait
 //                                                  + ser)
 //
 // Determinism. All mutable state (busy-until, jitter counters, counters in
@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/fabric/fabric_config.hpp"
@@ -46,6 +45,20 @@
 #include "sim/sim_observer.hpp"
 
 namespace optchain::sim {
+
+/// Tail drops of one send and the time it finally departs.
+struct Retransmit {
+  std::uint64_t drops = 0;  ///< sends dropped before the one admitted
+  double depart = 0.0;      ///< now + drops × timeout
+};
+
+/// Closed-form tail-drop/retransmit schedule of a send at `now` on an uplink
+/// serializing until `busy_until`: the smallest n at which the backlog left
+/// at now + n × `timeout` fits `link.queue_bytes`. A send finding the queue
+/// within capacity (an empty one included) departs at once.
+Retransmit retransmit_schedule(double now, double busy_until,
+                               const LinkConfig& link,
+                               double timeout) noexcept;
 
 /// The link-level fabric runtime; see the file comment for the model and the
 /// determinism contract.
@@ -127,8 +140,11 @@ class LinkFabric {
   NetworkModel intra_;
   NetworkModel inter_;
   std::vector<Endpoint> endpoints_;
-  /// Per-directed-pair jitter stream positions, keyed (from << 32) | to.
-  std::unordered_map<std::uint64_t, std::uint64_t> jitter_counters_;
+  /// Per-directed-pair jitter stream positions at from × jitter_stride_ +
+  /// to. The stride is a power of two that doubles as endpoints register;
+  /// empty when the fabric has no jitter.
+  std::vector<std::uint64_t> jitter_counters_;
+  std::uint32_t jitter_stride_ = 0;
   Stats stats_;
 };
 

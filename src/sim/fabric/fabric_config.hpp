@@ -75,10 +75,11 @@ struct FabricConfig {
   /// Extra one-way propagation paid per straggler endpoint on a link.
   double straggler_extra_s = 0.0;
 
-  /// Retransmit back-off after a tail drop (seconds). A dropped send retries
-  /// from `send time + retransmit_timeout_s`; each wait drains
-  /// timeout × bandwidth / 8 bytes of backlog, so delivery always
-  /// terminates. Must be positive when link.queue_bytes > 0.
+  /// Retransmit back-off after a tail drop (seconds). A send dropped n
+  /// times departs at `send time + n × retransmit_timeout_s`, for the
+  /// smallest n at which the uplink's backlog fits the queue; each timeout
+  /// drains timeout × bandwidth / 8 bytes, so n is finite. Must be positive
+  /// when link.queue_bytes > 0.
   double retransmit_timeout_s = 1.0;
 
   /// The fabric's minimum possible delivery delay — the conservative

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "obs/phase_profiler.hpp"
 #include "sim/shard_spawn.hpp"
 #include "workload/dynamic_profile.hpp"
 
@@ -51,6 +52,12 @@ void Simulation::spawn_shard_node() {
       },
       faults));
   OPTCHAIN_ASSERT(fabric_.add_endpoint() == endpoint_of(s));
+  // Stateless fabric propagation (= the flat model when disabled), so the
+  // placement view prices region tiers and stragglers without perturbing
+  // delivery state; neither end moves, so it is fixed from spawn on.
+  mean_comm_.push_back(2.0 * fabric_.propagation_delay(
+                                 kClientEndpoint, endpoint_of(s),
+                                 client_position_, leader));
 }
 
 void Simulation::observe_timings() {
@@ -60,13 +67,7 @@ void Simulation::observe_timings() {
   timings_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const ShardNode& shard = *shards_[s];
-    // Stateless fabric propagation (= the flat model when disabled), so the
-    // placement view prices region tiers and stragglers without perturbing
-    // delivery state.
-    timings_[s].mean_comm =
-        2.0 * fabric_.propagation_delay(
-                  kClientEndpoint, endpoint_of(static_cast<std::uint32_t>(s)),
-                  client_position_, shard.leader_position());
+    timings_[s].mean_comm = mean_comm_[s];
     const double backlog_blocks =
         static_cast<double>(shard.queue_size()) /
         static_cast<double>(config_.consensus.txs_per_block);
@@ -97,7 +98,7 @@ SimResult Simulation::run(workload::TxSource& source,
   outstanding_ = 0;
   committed_ = 0;
   inflight_.clear();
-  outpoint_state_.clear();
+  outpoints_.clear();
   successor_of_.resize(shards_.size());
   for (std::uint32_t s = 0; s < successor_of_.size(); ++s) {
     successor_of_[s] = s;
@@ -130,16 +131,16 @@ SimResult Simulation::run(workload::TxSource& source,
   if (hint.has_value()) {
     // Pre-size everything that scales with the stream so the run never
     // rehashes or reallocates per-transaction state mid-flight: the
-    // lock/spend ledger sees ~2 entries per transaction on Bitcoin-like
-    // workloads, and the pipeline forwards the hint to its dag, assignment
-    // and placer (TanDag::reserve / ScorePool::reserve).
-    outpoint_state_.reserve(static_cast<std::size_t>(*hint * 2));
+    // lock/spend ledger ends a Bitcoin-like run with ~1.5 entries per
+    // transaction (293,815 for 200k transactions), and the pipeline
+    // forwards the hint to its dag, assignment and placer
+    // (TanDag::reserve / ScorePool::reserve).
+    outpoints_.reserve(static_cast<std::size_t>(*hint * 3 / 2));
     pipeline.reserve(*hint);
     if (repartition_enabled()) {
       live_outputs_.reserve(static_cast<std::size_t>(*hint));
     }
   }
-  inflight_.reserve(1024);
   // The event heap's working set is O(in-flight messages), not O(stream):
   // size it from the expected-txs hint (capped — bench_scale's
   // event_heap_peak tracks how much is actually used) so steady-state runs
@@ -257,7 +258,7 @@ void Simulation::on_event(const Event& event) {
       break;
     case EventType::kUnlockAbort: {
       release_locks(event.tx, resolve_shard(event.shard));
-      Inflight& flight = inflight_.at(event.tx);
+      InflightRecord& flight = inflight_.at(event.tx);
       OPTCHAIN_ASSERT(flight.releases_in_flight > 0);
       --flight.releases_in_flight;
       erase_if_settled(event.tx);
@@ -292,7 +293,7 @@ void Simulation::issue_transaction(std::uint32_t index) {
   OPTCHAIN_ASSERT(staged_.index == index);
   constexpr std::uint64_t kMinPayloadBytes = 512;
 
-  Inflight flight;
+  InflightRecord& flight = inflight_.issue(index);
   flight.issue_time = events_.now();
 
   // Client-side placement with the client's current view of shard timings
@@ -312,9 +313,9 @@ void Simulation::issue_transaction(std::uint32_t index) {
                               shards_[target]->leader_position(), payload),
         Event::deliver(EventType::kTxDeliver, target, index));
   } else {
-    flight.cross.remaining_locks =
+    flight.remaining_locks =
         static_cast<std::uint32_t>(placed.input_shards.size());
-    flight.cross.output_shard = target;
+    flight.output_shard = target;
     for (const placement::ShardId s : placed.input_shards) {
       events_.schedule_in(
           fabric_.message_delay(events_.now(), kClientEndpoint,
@@ -338,14 +339,13 @@ void Simulation::issue_transaction(std::uint32_t index) {
         static_cast<std::uint32_t>(staged_.outputs.size()));
   }
 
-  // The protocol only needs the inputs from here on; steal them instead of
-  // copying (staged_ is overwritten by the prefetch below anyway).
-  flight.inputs = std::move(staged_.inputs);
-  const double issue_time = flight.issue_time;
-  inflight_.emplace(index, std::move(flight));
+  // The protocol only needs the inputs from here on; swap them in instead
+  // of copying (staged_ is overwritten by the prefetch below anyway, into
+  // the record's old buffer).
+  flight.inputs.swap(staged_.inputs);
   ++outstanding_;
   ++issued_;
-  notify_issue(index, issue_time, placed.cross);
+  notify_issue(index, flight.issue_time, placed.cross);
 
   // Chain the next issue event, if the stream has one. The source owns the
   // schedule: the default is the historical uniform index/rate, and dynamic
@@ -359,46 +359,54 @@ void Simulation::issue_transaction(std::uint32_t index) {
 }
 
 bool Simulation::try_lock_inputs(std::uint32_t index, std::uint32_t shard) {
-  const Inflight& flight = inflight_.at(index);
+  obs::SampledPhase timer(obs::Phase::kSimLedger);
+  const InflightRecord& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
     if (assignment_->shard_of(point.tx) != shard) continue;
-    const auto it = outpoint_state_.find(outpoint_key(point));
-    if (it != outpoint_state_.end() && it->second.second != index) {
+    const OutpointLedger::Entry* held =
+        outpoints_.find(OutpointLedger::key_of(point));
+    if (held != nullptr && held->owner != index) {
       return false;  // held or spent by a conflicting transaction
     }
   }
   for (const tx::OutPoint& point : flight.inputs) {
     if (assignment_->shard_of(point.tx) != shard) continue;
-    outpoint_state_[outpoint_key(point)] = {OutpointState::kLocked, index};
+    outpoints_.assign(OutpointLedger::key_of(point), OutpointState::kLocked,
+                      index);
   }
   return true;
 }
 
 void Simulation::release_locks(std::uint32_t index, std::uint32_t shard) {
-  const Inflight& flight = inflight_.at(index);
+  obs::SampledPhase timer(obs::Phase::kSimLedger);
+  const InflightRecord& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
     if (assignment_->shard_of(point.tx) != shard) continue;
-    const auto it = outpoint_state_.find(outpoint_key(point));
-    if (it != outpoint_state_.end() &&
-        it->second == std::make_pair(OutpointState::kLocked, index)) {
-      outpoint_state_.erase(it);
+    const std::uint64_t key = OutpointLedger::key_of(point);
+    const OutpointLedger::Entry* held = outpoints_.find(key);
+    if (held != nullptr && held->state == OutpointState::kLocked &&
+        held->owner == index) {
+      outpoints_.erase(key);
     }
   }
 }
 
 void Simulation::spend_inputs(std::uint32_t index) {
-  const Inflight& flight = inflight_.at(index);
+  obs::SampledPhase timer(obs::Phase::kSimLedger);
+  const InflightRecord& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
-    auto& entry = outpoint_state_[outpoint_key(point)];
+    const std::uint64_t key = OutpointLedger::key_of(point);
+    const OutpointLedger::Entry* held = outpoints_.find(key);
     // Without churn or repartition the lock protocol makes a conflicting
     // double-commit impossible; a retirement or re-partition move
     // mid-handoff can drop a lock, so those runs tolerate (and ignore) a
     // late conflicting spend instead of asserting.
-    if (entry.first == OutpointState::kSpent && entry.second != index) {
+    if (held != nullptr && held->state == OutpointState::kSpent &&
+        held->owner != index) {
       OPTCHAIN_ASSERT(churn_enabled() || repartition_enabled());
       continue;
     }
-    entry = {OutpointState::kSpent, index};
+    outpoints_.assign(key, OutpointState::kSpent, index);
     // Synthetic hotspot outpoints (vout >= kInjectedVoutBase) were never
     // credited as outputs, so only genuine spends consume a record.
     if (point.vout < workload::DynamicTxSource::kInjectedVoutBase) {
@@ -449,8 +457,7 @@ void Simulation::on_item_committed(std::uint32_t shard, const QueueItem& item,
       const std::uint32_t decision_ep =
           config_.protocol == ProtocolMode::kOmniLedger
               ? kClientEndpoint
-              : endpoint_of(
-                    resolve_shard(inflight_.at(index).cross.output_shard));
+              : endpoint_of(resolve_shard(inflight_.at(index).output_shard));
       const Position decision_point =
           decision_ep == kClientEndpoint
               ? client_position_
@@ -467,17 +474,16 @@ void Simulation::on_item_committed(std::uint32_t shard, const QueueItem& item,
 
 void Simulation::handle_proof(std::uint32_t index, bool accepted,
                               std::uint32_t from_shard) {
-  Inflight& flight = inflight_.at(index);
-  PendingCross& pending = flight.cross;
-  OPTCHAIN_ASSERT(pending.remaining_locks > 0);
+  InflightRecord& flight = inflight_.at(index);
+  OPTCHAIN_ASSERT(flight.remaining_locks > 0);
   if (accepted) {
-    pending.accepted_shards.push_back(from_shard);
+    flight.accepted_shards.push_back(from_shard);
   } else {
-    pending.rejected = true;
+    flight.rejected = true;
   }
-  if (--pending.remaining_locks > 0) return;
+  if (--flight.remaining_locks > 0) return;
 
-  const std::uint32_t output_shard = resolve_shard(pending.output_shard);
+  const std::uint32_t output_shard = resolve_shard(flight.output_shard);
   const ShardNode& output = *shards_[output_shard];
   const std::uint32_t decision_ep =
       config_.protocol == ProtocolMode::kOmniLedger
@@ -488,14 +494,14 @@ void Simulation::handle_proof(std::uint32_t index, bool accepted,
           ? client_position_
           : output.leader_position();
 
-  if (!pending.rejected) {
+  if (!flight.rejected) {
     // All proofs of acceptance: unlock-to-commit to the output shard.
     const double to_output = fabric_.message_delay(
         events_.now(), decision_ep, endpoint_of(output_shard), decision_point,
         output.leader_position(), config_.proof_bytes + 512);
     events_.schedule_in(
         to_output,
-        Event::deliver(EventType::kUnlockCommit, pending.output_shard, index));
+        Event::deliver(EventType::kUnlockCommit, flight.output_shard, index));
     return;
   }
 
@@ -503,7 +509,7 @@ void Simulation::handle_proof(std::uint32_t index, bool accepted,
   // every shard that accepted, and the transaction is abandoned. The
   // in-flight record stays alive until the releases land (they need the
   // input list).
-  for (const std::uint32_t shard : pending.accepted_shards) {
+  for (const std::uint32_t shard : flight.accepted_shards) {
     const double to_shard = fabric_.message_delay(
         events_.now(), decision_ep, endpoint_of(shard), decision_point,
         shards_[shard]->leader_position(), config_.proof_bytes);
@@ -511,7 +517,7 @@ void Simulation::handle_proof(std::uint32_t index, bool accepted,
                         Event::deliver(EventType::kUnlockAbort, shard, index));
   }
   flight.releases_in_flight =
-      static_cast<std::uint32_t>(pending.accepted_shards.size());
+      static_cast<std::uint32_t>(flight.accepted_shards.size());
   flight.aborted = true;
   abort_transaction(index, events_.now());
   erase_if_settled(index);
@@ -519,13 +525,11 @@ void Simulation::handle_proof(std::uint32_t index, bool accepted,
 
 void Simulation::commit_transaction(std::uint32_t index, SimTime time) {
   OPTCHAIN_ASSERT(outstanding_ > 0);
-  const auto it = inflight_.find(index);
-  OPTCHAIN_ASSERT(it != inflight_.end());
-  const double latency = time - it->second.issue_time;
+  const double latency = time - inflight_.at(index).issue_time;
   OPTCHAIN_ASSERT(latency >= 0.0);
   ++committed_;
   --outstanding_;
-  inflight_.erase(it);
+  inflight_.erase(index);
   notify_commit(index, time, latency);
 }
 
@@ -536,10 +540,9 @@ void Simulation::abort_transaction(std::uint32_t index, SimTime time) {
 }
 
 void Simulation::erase_if_settled(std::uint32_t index) {
-  const auto it = inflight_.find(index);
-  OPTCHAIN_ASSERT(it != inflight_.end());
-  if (it->second.aborted && it->second.releases_in_flight == 0) {
-    inflight_.erase(it);
+  const InflightRecord& flight = inflight_.at(index);
+  if (flight.aborted && flight.releases_in_flight == 0) {
+    inflight_.erase(index);
   }
 }
 

@@ -39,8 +39,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -49,6 +47,7 @@
 #include "sim/consensus.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fabric/fabric.hpp"
+#include "sim/ledger.hpp"
 #include "sim/network.hpp"
 #include "sim/repartition.hpp"
 #include "sim/shard_churn.hpp"
@@ -195,29 +194,6 @@ class Simulation final : private EventHandler {
   const SimConfig& config() const noexcept { return config_; }
 
  private:
-  struct PendingCross {
-    std::uint32_t remaining_locks = 0;
-    std::uint32_t output_shard = 0;
-    bool rejected = false;
-    std::vector<std::uint32_t> accepted_shards;
-  };
-
-  /// Everything the protocol still needs about an issued, not-yet-terminal
-  /// transaction. Erased once the transaction commits (or aborts and every
-  /// unlock-to-abort has released its locks), which is what keeps streamed
-  /// runs at O(in-flight) memory.
-  struct Inflight {
-    double issue_time = 0.0;
-    std::vector<tx::OutPoint> inputs;
-    PendingCross cross;
-    /// Unlock-to-abort messages still traveling after an abort; the entry
-    /// stays alive until they have all released their locks.
-    std::uint32_t releases_in_flight = 0;
-    bool aborted = false;
-  };
-
-  enum class OutpointState : std::uint8_t { kLocked, kSpent };
-
   void on_event(const Event& event) override;
   void notify_issue(std::uint32_t tx, double time, bool cross);
   void notify_commit(std::uint32_t tx, double time, double latency_s);
@@ -244,9 +220,6 @@ class Simulation final : private EventHandler {
     return staged_valid_ || outstanding_ > 0;
   }
 
-  static std::uint64_t outpoint_key(const tx::OutPoint& point) noexcept {
-    return (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
-  }
   /// Fabric endpoint ids: the client is endpoint 0, shard s is 1 + s (the
   /// same convention in both engines — endpoints register in spawn order).
   static constexpr std::uint32_t kClientEndpoint = 0;
@@ -303,16 +276,23 @@ class Simulation final : private EventHandler {
   std::uint64_t issued_ = 0;
   std::uint64_t outstanding_ = 0;  // issued, not yet terminal
   std::uint64_t committed_ = 0;
-  std::unordered_map<std::uint32_t, Inflight> inflight_;
+  /// Issued, not-yet-terminal transactions (sim/ledger.hpp). A record is
+  /// dropped once its transaction commits, or aborts and every
+  /// unlock-to-abort has released its locks, which is what keeps streamed
+  /// runs at O(in-flight) memory.
+  InflightTable inflight_;
   api::PlacementPipeline* pipeline_ = nullptr;
   const placement::ShardAssignment* assignment_ = nullptr;
   std::vector<latency::ShardTiming> timings_;  // scratch for observe_timings
-  // Lock/spend ledger state per outpoint; absent key = available. Spent
-  // entries persist (double-spend detection), so this is the one per-run
-  // structure that grows with the stream — bucket-reserved from the size
-  // hint to avoid rehash storms mid-run.
-  std::unordered_map<std::uint64_t, std::pair<OutpointState, std::uint32_t>>
-      outpoint_state_;
+  /// Per-shard client round trip, 2 × the stateless fabric propagation
+  /// delay: fixed once the shard spawns, so observe_timings() reads it
+  /// instead of recomputing it per transaction.
+  std::vector<double> mean_comm_;
+  // Lock/spend ledger state per outpoint; absent = available. Spent entries
+  // persist (double-spend detection), so this is the one per-run structure
+  // that grows with the stream. It is sized from the size hint, so a hinted
+  // run never rehashes mid-flight.
+  OutpointLedger outpoints_;
   std::vector<std::uint64_t> queue_sizes_;  // scratch for sample_queues
   std::vector<LinkSample> link_samples_;    // scratch for sample_queues
   /// Shard-addressed events dispatched per shard (SimResult diagnostics).

@@ -6,7 +6,11 @@
 // across the sequential engine and any parallel sim_jobs value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +29,7 @@ namespace {
 
 using sim::FabricConfig;
 using sim::LinkFabric;
+using sim::LinkSample;
 using sim::NetworkConfig;
 using sim::NetworkModel;
 using sim::Position;
@@ -234,6 +239,134 @@ TEST(FabricQueueing, UplinkSerializesAndTailDrops) {
   fabric.reset_state();
   EXPECT_EQ(fabric.stats().drops, 0u);
   EXPECT_DOUBLE_EQ(fabric.message_delay(0.0, 0, 1, at, at, 500), 0.5);
+}
+
+/// The retransmit loop message_delay() ran before the closed form: retry
+/// one timeout later, accumulating the departure time one addition at a
+/// time, until the backlog fits the queue. The reference for the closed
+/// form below.
+sim::Retransmit retransmit_loop(double now, double busy_until,
+                                const sim::LinkConfig& link, double timeout) {
+  sim::Retransmit out{0, now};
+  while (true) {
+    const double wait = busy_until > out.depart ? busy_until - out.depart : 0.0;
+    if (wait * link.bandwidth_bps / 8.0 <=
+        static_cast<double>(link.queue_bytes)) {
+      return out;
+    }
+    ++out.drops;
+    out.depart += timeout;
+  }
+}
+
+/// Distance between two finite doubles of equal sign, in units in the last
+/// place.
+std::uint64_t ulp_distance(double a, double b) {
+  std::int64_t ia = 0, ib = 0;
+  std::memcpy(&ia, &a, sizeof(a));
+  std::memcpy(&ib, &b, sizeof(b));
+  return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
+}
+
+TEST(FabricQueueing, ClosedFormRetransmitMatchesTheLoop) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const double timeout : {2.0, 1.0, 0.5, 0.3}) {
+    std::uint64_t max_drops = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const double now = unit(rng) * 1000.0;
+      // Backlogs from an idle uplink (busy_until in the past) to 200 s.
+      const double busy_until = now + unit(rng) * 210.0 - 10.0;
+      sim::LinkConfig link;
+      link.bandwidth_bps = std::pow(10.0, 3.0 + 5.0 * unit(rng));
+      link.queue_bytes = 1 + static_cast<std::uint64_t>(unit(rng) * (1 << 20));
+
+      const sim::Retransmit loop =
+          retransmit_loop(now, busy_until, link, timeout);
+      const sim::Retransmit closed =
+          sim::retransmit_schedule(now, busy_until, link, timeout);
+      ASSERT_EQ(closed.drops, loop.drops)
+          << "now=" << now << " busy_until=" << busy_until
+          << " timeout=" << timeout;
+      max_drops = std::max(max_drops, loop.drops);
+      // A power-of-two timeout adds exactly except where the departure
+      // crosses a binade. An inexact one (0.3) makes every addition of the
+      // loop round by the same fraction of an ulp, so the reference itself
+      // drifts by up to half an ulp per drop.
+      const bool exact_steps = timeout != 0.3;
+      const std::uint64_t bound = exact_steps ? 4 : 4 + loop.drops / 2;
+      EXPECT_LE(ulp_distance(closed.depart, loop.depart), bound)
+          << "drops=" << loop.drops << " timeout=" << timeout;
+      // The closed form itself rounds once: within an ulp of now + n·timeout
+      // in extended precision.
+      const long double exact =
+          static_cast<long double>(now) +
+          static_cast<long double>(closed.drops) *
+              static_cast<long double>(timeout);
+      EXPECT_LE(ulp_distance(closed.depart, static_cast<double>(exact)), 1u);
+    }
+    // The sample reached backlogs of over 150 s.
+    EXPECT_GT(static_cast<double>(max_drops) * timeout, 150.0);
+  }
+
+  // An idle uplink and one whose backlog is exactly at capacity both admit
+  // at once; one byte more is one drop.
+  sim::LinkConfig link;
+  link.bandwidth_bps = 8000.0;  // 1000 bytes/s
+  link.queue_bytes = 1000;
+  for (const double timeout : {2.0, 1.0, 0.5, 0.3}) {
+    EXPECT_EQ(sim::retransmit_schedule(5.0, 0.0, link, timeout).drops, 0u);
+    const sim::Retransmit at_capacity =
+        sim::retransmit_schedule(5.0, 6.0, link, timeout);
+    EXPECT_EQ(at_capacity.drops, 0u);
+    EXPECT_EQ(at_capacity.depart, 5.0);
+    const sim::Retransmit over = sim::retransmit_schedule(5.0, 6.001, link,
+                                                          timeout);
+    EXPECT_EQ(over.drops, retransmit_loop(5.0, 6.001, link, timeout).drops);
+    EXPECT_EQ(over.drops, 1u);
+    EXPECT_EQ(over.depart, 5.0 + timeout);
+    // Exactly at capacity after three timeouts (exact for the power-of-two
+    // timeouts): admitted on the third retry, not the fourth.
+    if (timeout != 0.3) {
+      const double busy_until = 6.0 + 3.0 * timeout;
+      EXPECT_EQ(sim::retransmit_schedule(5.0, busy_until, link, timeout).drops,
+                3u);
+      EXPECT_EQ(retransmit_loop(5.0, busy_until, link, timeout).drops, 3u);
+    }
+  }
+}
+
+TEST(FabricQueueing, SaturatedUplinkCountsEveryDrop) {
+  // A wan uplink with 120 s of backlog: message_delay() counts the same
+  // drops as the reference loop and departs the send n timeouts later.
+  FabricConfig config = sim::fabric_preset("wan");
+  config.max_jitter_s = 0.0;
+  config.max_distance_latency_s = 0.0;
+  const NetworkModel flat;
+  LinkFabric fabric(config, flat, 11);
+  fabric.add_endpoint();
+  fabric.add_endpoint();
+  const Position at{0.5, 0.5};
+  const double bytes_per_s = config.link.bandwidth_bps / 8.0;
+  // An empty uplink admits any message: 120 s worth of bytes in one send.
+  fabric.message_delay(0.0, 0, 1, at, at,
+                       static_cast<std::uint64_t>(120.0 * bytes_per_s));
+  std::vector<LinkSample> samples;
+  fabric.sample_links(0.0, samples);
+  const double busy_until = samples[0].backlog_s;
+  const sim::Retransmit reference = retransmit_loop(
+      0.0, busy_until, config.link, config.retransmit_timeout_s);
+  ASSERT_GT(reference.drops, 100u);
+
+  const double delay = fabric.message_delay(0.0, 0, 1, at, at, 512);
+  EXPECT_EQ(fabric.stats().drops, reference.drops);
+  fabric.sample_links(0.0, samples);
+  EXPECT_EQ(samples[0].drops, reference.drops);
+  // The send departs after its drops, queues behind what is left, and
+  // leaves the uplink busy until its own serialization ends.
+  const double ser = 512.0 * 8.0 / config.link.bandwidth_bps;
+  EXPECT_DOUBLE_EQ(samples[0].backlog_s, busy_until + ser);
+  EXPECT_GE(delay, reference.depart);
 }
 
 TEST(FabricQueueing, CongestedSimulationAccountsDropsAndCompletes) {

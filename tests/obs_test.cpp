@@ -505,5 +505,54 @@ TEST(PhaseProfilerTest, ProfiledRunSplitsOptChainPlacement) {
   EXPECT_LE(l2s_calls, t2s_calls);
 }
 
+TEST(PhaseProfilerTest, SampledPhaseCountsEveryCallOnlyWhenEnabled) {
+  obs::PhaseProfiler& profiler = obs::PhaseProfiler::instance();
+  profiler.reset();
+  profiler.set_enabled(false);
+  { obs::SampledPhase timer(obs::Phase::kSimFabric); }
+  EXPECT_TRUE(profiler.snapshot().empty());
+
+  profiler.set_enabled(true);
+  for (int i = 0; i < 40; ++i) {
+    obs::SampledPhase timer(obs::Phase::kSimFabric);
+  }
+  profiler.set_enabled(false);
+  const std::vector<obs::PhaseEntry> snapshot = profiler.snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0].phase, "sim.fabric");
+  EXPECT_EQ(snapshot[0].calls, 40u);  // counted exactly, timed 3 times
+  EXPECT_GE(snapshot[0].seconds, 0.0);
+  profiler.reset();
+}
+
+TEST(PhaseProfilerTest, ProfiledRunSplitsTheSequentialEngine) {
+  workload::BitcoinLikeGenerator generator({}, 7);
+  const std::vector<tx::Transaction> txs = generator.generate(800);
+  api::RunSpec spec;
+  spec.method = "OmniLedger";
+  spec.num_shards = 4;
+  spec.rate_tps = 800.0;
+  spec.fabric = sim::fabric_preset("wan");
+  spec.profile = true;
+  const api::RunReport report = api::simulate(spec, txs);
+  ASSERT_TRUE(report.sim.has_value());
+  std::uint64_t ledger_calls = 0, fabric_calls = 0;
+  for (const api::ProfileEntry& entry : report.profile) {
+    if (entry.phase == "sim.ledger") ledger_calls = entry.calls;
+    if (entry.phase == "sim.fabric") fabric_calls = entry.calls;
+  }
+  // Every message of the run went through the fabric once; every
+  // transaction at least locked or spent its inputs.
+  EXPECT_EQ(fabric_calls, report.sim->link_messages);
+  EXPECT_GE(ledger_calls, report.sim->committed_txs);
+  // A profiled run is bit-identical to an unprofiled one.
+  api::RunSpec plain = spec;
+  plain.profile = false;
+  const api::RunReport baseline = api::simulate(plain, txs);
+  EXPECT_EQ(report.sim->total_events, baseline.sim->total_events);
+  EXPECT_EQ(report.sim->link_drops, baseline.sim->link_drops);
+  EXPECT_EQ(report.sim->avg_latency_s, baseline.sim->avg_latency_s);
+}
+
 }  // namespace
 }  // namespace optchain
