@@ -33,8 +33,25 @@ void BM_Sha256_512B(benchmark::State& state) {
     benchmark::DoNotOptimize(Sha256::digest(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512);
+  state.SetLabel(detail::compress_kernel_name());
 }
 BENCHMARK(BM_Sha256_512B);
+
+/// Transaction::txid() per transaction over the generator mix (71% one
+/// block, 23% two, 5% three or more): the whole cost of an OmniLedger
+/// placement. The label names the SHA-256 kernel that ran.
+void BM_Txid(benchmark::State& state) {
+  workload::BitcoinLikeGenerator generator({}, 1);
+  const auto txs = generator.generate(65536);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(txs[i].txid());
+    if (++i == txs.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(detail::compress_kernel_name());
+}
+BENCHMARK(BM_Txid);
 
 void BM_WorkloadGenerator(benchmark::State& state) {
   workload::BitcoinLikeGenerator generator({}, 1);
@@ -46,8 +63,9 @@ void BM_WorkloadGenerator(benchmark::State& state) {
 BENCHMARK(BM_WorkloadGenerator);
 
 /// Full OptChain placement step through the api::PlacementPipeline (TaN
-/// registration + txid + T2S scoring + argmax + commit), per transaction,
-/// across shard counts. The paper's average scoring cost is O(k). The
+/// registration + T2S scoring + argmax + commit), per transaction, across
+/// shard counts. No txid: PlacementRequest::hash() is lazy and OptChain
+/// never reads it. The paper's average scoring cost is O(k). The
 /// pipeline is stateful; when the prepared stream runs out, state resets
 /// outside the timed region.
 void BM_OptChainPlacement(benchmark::State& state) {

@@ -5,7 +5,17 @@
 //   Bitcoin's txid construction (single pass; the double hash adds nothing for
 //   the experiments here). OmniLedger-style random placement is
 //   "hash of txid mod k", so a real cryptographic hash keeps that baseline
-//   faithful to the paper.
+//   faithful to the paper, and `placer.choose_*` on an OmniLedger run is the
+//   txid cost.
+//
+//   Whole 64-byte blocks go through one compress kernel, chosen once per
+//   process at first use: on x86 CPUs with the SHA extensions
+//   (`__builtin_cpu_supports("sha")`) a kernel built on the
+//   `sha256rnds2/msg1/msg2` instructions, compiled for that one function by
+//   a target attribute; everywhere else (other CPUs, other architectures)
+//   the portable FIPS rounds. Both kernels produce the same bytes: the
+//   choice changes speed, never a digest, a txid or a result. detail::
+//   exposes both so tests check them against each other directly.
 // - mix64: a cheap statistically-strong 64-bit finalizer for hash tables and
 //   for deriving per-entity sub-seeds.
 #pragma once
@@ -47,37 +57,48 @@ class Sha256 {
     update(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
   }
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  void update_value(const T& value) noexcept {
-    std::array<std::uint8_t, sizeof(T)> raw;
-    std::memcpy(raw.data(), &value, sizeof(T));
-    update(std::span<const std::uint8_t>(raw));
-  }
 
   /// Finalizes and returns the digest. The object must be reset() before reuse.
   Digest256 finish() noexcept;
 
-  /// One-shot convenience.
-  static Digest256 digest(std::span<const std::uint8_t> data) noexcept {
-    Sha256 h;
-    h.update(data);
-    return h.finish();
-  }
+  /// One-shot digest: whole blocks straight from `data`, then the tail and
+  /// padding from one stack block pair. No streaming state is kept.
+  static Digest256 digest(std::span<const std::uint8_t> data) noexcept;
   static Digest256 digest(std::string_view text) noexcept {
-    Sha256 h;
-    h.update(text);
-    return h.finish();
+    return digest(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
   }
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;
 };
+
+namespace detail {
+
+/// A SHA-256 block kernel: folds `n_blocks` consecutive 64-byte blocks of
+/// `data` into the eight working words `state` (FIPS 180-4 §6.2.2).
+using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t n_blocks) noexcept;
+
+/// The portable FIPS 180-4 rounds; runs on any CPU.
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t n_blocks) noexcept;
+
+/// The x86 SHA-extensions kernel. Call it only when sha_ni_available(); on
+/// builds for other architectures it forwards to compress_portable.
+void compress_sha_ni(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t n_blocks) noexcept;
+
+/// True when this build has the x86 SHA kernel and the CPU runs it.
+bool sha_ni_available() noexcept;
+
+/// Name of the kernel Sha256 uses: "sha-ni" or "portable".
+const char* compress_kernel_name() noexcept;
+
+}  // namespace detail
 
 /// Fast 64-bit mixing finalizer (splitmix64 finalizer). Suitable for hash
 /// tables and seed derivation; not cryptographic.

@@ -30,6 +30,7 @@ OtraceReader::OtraceReader(const std::string& path)
 
   file_.seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(file_.tellg());
+  file_size_ = file_size;
 
   // Header: magic + version + chunk capacity.
   std::uint8_t magic[4] = {};
@@ -78,10 +79,21 @@ OtraceReader::OtraceReader(const std::string& path)
   file_.read(reinterpret_cast<char*>(footer.data()),
              static_cast<std::streamsize>(footer_bytes));
   if (!file_) fail(path_, "footer read failed");
+  std::size_t cursor = 0;
+  std::uint64_t n_chunks = 0;
   try {
-    std::size_t cursor = 0;
-    const std::uint64_t n_chunks = tx::read_varint(footer, cursor);
-    chunks_.reserve(n_chunks);
+    n_chunks = tx::read_varint(footer, cursor);
+  } catch (const std::exception&) {
+    fail(path_, "corrupt footer index");
+  }
+  // Each index entry is three varints of at least one byte each.
+  if (n_chunks > (footer.size() - cursor) / 3) {
+    fail(path_, "corrupt footer index (n_chunks " + std::to_string(n_chunks) +
+                    " does not fit in the footer's " +
+                    std::to_string(footer.size()) + " bytes)");
+  }
+  chunks_.reserve(static_cast<std::size_t>(n_chunks));
+  try {
     for (std::uint64_t c = 0; c < n_chunks; ++c) {
       OtraceChunkInfo info;
       info.offset = tx::read_varint(footer, cursor);
@@ -115,6 +127,12 @@ void OtraceReader::load_chunk(std::size_t chunk) {
     fail(path_, "corrupt chunk frame");
   }
   if (count != info.count) fail(path_, "chunk count mismatch vs footer");
+  if (info.offset > file_size_ || cursor > file_size_ - info.offset ||
+      payload_bytes > file_size_ - info.offset - cursor) {
+    fail(path_, "corrupt chunk frame (payload_bytes " +
+                    std::to_string(payload_bytes) + " runs past the " +
+                    std::to_string(file_size_) + "-byte file)");
+  }
 
   buffer_.resize(static_cast<std::size_t>(payload_bytes));
   file_.clear();
@@ -148,6 +166,16 @@ void OtraceReader::load_chunk(std::size_t chunk) {
 
 std::uint64_t OtraceReader::read_payload_varint() {
   return tx::read_varint(buffer_, buffer_offset_);
+}
+
+void OtraceReader::check_record_count(std::uint64_t n,
+                                      std::size_t min_entry_bytes) {
+  if (n > (buffer_.size() - buffer_offset_) / min_entry_bytes) {
+    fail(path_, "corrupt record (" + std::to_string(n) +
+                    " entries do not fit in the chunk's " +
+                    std::to_string(buffer_.size() - buffer_offset_) +
+                    " remaining bytes)");
+  }
 }
 
 double OtraceReader::read_payload_f64() {
@@ -204,6 +232,7 @@ bool OtraceReader::next(TraceRecord& out) {
       case TraceRecordType::kQueueSample: {
         out.time = read_payload_f64();
         const std::uint64_t n = read_payload_varint();
+        check_record_count(n, 1);
         out.queues.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           out.queues.push_back(read_payload_varint());
@@ -213,6 +242,7 @@ bool OtraceReader::next(TraceRecord& out) {
       case TraceRecordType::kLinkSample: {
         out.time = read_payload_f64();
         const std::uint64_t n = read_payload_varint();
+        check_record_count(n, 10);
         out.links.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           TraceRecord::Link link;

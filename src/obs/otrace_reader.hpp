@@ -82,9 +82,13 @@ class OtraceReader {
   void load_chunk(std::size_t chunk);
   std::uint64_t read_payload_varint();
   double read_payload_f64();
+  /// Throws unless `n` entries of at least `min_entry_bytes` each fit in
+  /// the rest of the loaded chunk.
+  void check_record_count(std::uint64_t n, std::size_t min_entry_bytes);
 
   std::ifstream file_;
   std::string path_;
+  std::uint64_t file_size_ = 0;  ///< bounds every length read from the file
   std::uint32_t chunk_capacity_ = 0;
   std::uint64_t total_ = 0;
   std::vector<OtraceChunkInfo> chunks_;

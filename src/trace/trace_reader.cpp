@@ -79,6 +79,7 @@ void TraceReader::parse_footer(std::uint64_t file_size) {
   if (footer_offset >= file_size - kTrailerBytes) {
     fail(path_, "corrupt trailer: footer offset out of range");
   }
+  footer_offset_ = footer_offset;
 
   std::vector<std::uint8_t> footer(
       static_cast<std::size_t>(file_size - kTrailerBytes - footer_offset));
@@ -89,7 +90,13 @@ void TraceReader::parse_footer(std::uint64_t file_size) {
 
   std::size_t offset = 0;
   const std::uint64_t n_chunks = tx::read_varint(footer, offset);
-  chunks_.reserve(n_chunks);
+  // Each index entry is three varints of at least one byte each.
+  if (n_chunks > (footer.size() - offset) / 3) {
+    fail(path_, "corrupt footer: n_chunks " + std::to_string(n_chunks) +
+                    " does not fit in the footer's " +
+                    std::to_string(footer.size()) + " bytes");
+  }
+  chunks_.reserve(static_cast<std::size_t>(n_chunks));
   std::uint64_t expected_first = 0;
   std::uint64_t previous_end = 0;
   for (std::uint64_t i = 0; i < n_chunks; ++i) {
@@ -122,6 +129,13 @@ void TraceReader::load_chunk(std::size_t chunk) {
                     ": frame count does not match footer index");
   }
   const std::uint64_t payload_bytes = read_varint_stream();
+  const auto frame_at = static_cast<std::uint64_t>(file_.tellg());
+  if (payload_bytes > footer_offset_ - std::min(frame_at, footer_offset_)) {
+    fail(path_, "chunk " + std::to_string(chunk) + ": payload_bytes " +
+                    std::to_string(payload_bytes) +
+                    " runs past the footer at " +
+                    std::to_string(footer_offset_));
+  }
   buffer_.resize(static_cast<std::size_t>(payload_bytes));
   file_.read(reinterpret_cast<char*>(buffer_.data()),
              static_cast<std::streamsize>(buffer_.size()));

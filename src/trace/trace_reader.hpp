@@ -67,6 +67,7 @@ class TraceReader {
 
   std::ifstream file_;
   std::string path_;
+  std::uint64_t footer_offset_ = 0;  ///< v2: chunk payloads end before it
   std::uint32_t version_ = 0;
   std::uint32_t chunk_capacity_ = 0;
   std::uint64_t total_ = 0;

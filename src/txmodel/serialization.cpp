@@ -12,8 +12,19 @@ namespace {
 constexpr std::uint8_t kMagic[4] = {'O', 'P', 'T', 'X'};
 constexpr std::uint32_t kVersion = 1;
 
-[[noreturn]] void fail(const char* what) {
-  throw std::runtime_error(std::string("transaction codec: ") + what);
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error("transaction codec: " + what);
+}
+
+// Every input, output and transaction takes at least two varint bytes, so
+// a count read from the data can be bounded by the bytes left after it.
+void check_count(std::uint64_t count, std::span<const std::uint8_t> data,
+                 std::size_t offset, const char* what) {
+  if (count > (data.size() - offset) / 2) {
+    fail(std::string(what) + " " + std::to_string(count) +
+         " exceeds the " + std::to_string(data.size() - offset) +
+         " bytes left");
+  }
 }
 
 }  // namespace
@@ -61,7 +72,8 @@ void decode_transaction(std::span<const std::uint8_t> data,
   out.inputs.clear();
   out.outputs.clear();
   const std::uint64_t n_inputs = read_varint(data, offset);
-  out.inputs.reserve(n_inputs);
+  check_count(n_inputs, data, offset, "n_inputs");
+  out.inputs.reserve(static_cast<std::size_t>(n_inputs));
   for (std::uint64_t j = 0; j < n_inputs; ++j) {
     OutPoint point;
     const std::uint64_t referenced = read_varint(data, offset);
@@ -71,7 +83,8 @@ void decode_transaction(std::span<const std::uint8_t> data,
     out.inputs.push_back(point);
   }
   const std::uint64_t n_outputs = read_varint(data, offset);
-  out.outputs.reserve(n_outputs);
+  check_count(n_outputs, data, offset, "n_outputs");
+  out.outputs.reserve(static_cast<std::size_t>(n_outputs));
   for (std::uint64_t j = 0; j < n_outputs; ++j) {
     TxOut txo;
     txo.value = static_cast<Amount>(read_varint(data, offset));
@@ -105,9 +118,10 @@ std::vector<Transaction> decode_transactions(
   std::size_t offset = 4;
   if (read_varint(data, offset) != kVersion) fail("unsupported version");
   const std::uint64_t count = read_varint(data, offset);
+  check_count(count, data, offset, "transaction count");
 
   std::vector<Transaction> out;
-  out.reserve(count);
+  out.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Transaction transaction;
     decode_transaction(data, offset, static_cast<TxIndex>(i), transaction);

@@ -1,6 +1,10 @@
 #include "txmodel/transaction.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+#include <type_traits>
 
 namespace optchain::tx {
 
@@ -20,20 +24,49 @@ void Transaction::distinct_input_txs(std::vector<TxIndex>& out) const {
   }
 }
 
+namespace {
+
+// Appends `value` little-endian at `out` and returns the next write position.
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* out, T value) noexcept {
+  const auto bits = static_cast<std::make_unsigned_t<T>>(value);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &bits, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
+  }
+  return out + sizeof(T);
+}
+
+}  // namespace
+
 Digest256 Transaction::txid() const {
-  Sha256 hasher;
-  hasher.update_value(index);
-  hasher.update_value(static_cast<std::uint32_t>(inputs.size()));
+  // Encoding: u32 index, u32 n_inputs, {u32 tx, u32 vout}*, u32 n_outputs,
+  // {i64 value, u32 owner}*. Built in one buffer, hashed in one call; the
+  // stack buffer covers ~40 inputs, larger transactions spill to the heap.
+  const std::size_t bytes = 12 + 8 * inputs.size() + 12 * outputs.size();
+  std::array<std::uint8_t, 512> stack_buffer;
+  std::vector<std::uint8_t> heap_buffer;
+  std::uint8_t* begin = stack_buffer.data();
+  if (bytes > stack_buffer.size()) {
+    heap_buffer.resize(bytes);
+    begin = heap_buffer.data();
+  }
+
+  std::uint8_t* out = put_le(begin, index);
+  out = put_le(out, static_cast<std::uint32_t>(inputs.size()));
   for (const auto& in : inputs) {
-    hasher.update_value(in.tx);
-    hasher.update_value(in.vout);
+    out = put_le(out, in.tx);
+    out = put_le(out, in.vout);
   }
-  hasher.update_value(static_cast<std::uint32_t>(outputs.size()));
-  for (const auto& out : outputs) {
-    hasher.update_value(out.value);
-    hasher.update_value(out.owner);
+  out = put_le(out, static_cast<std::uint32_t>(outputs.size()));
+  for (const auto& txo : outputs) {
+    out = put_le(out, txo.value);
+    out = put_le(out, txo.owner);
   }
-  return hasher.finish();
+  return Sha256::digest(std::span<const std::uint8_t>(begin, bytes));
 }
 
 std::size_t Transaction::serialized_size() const noexcept {

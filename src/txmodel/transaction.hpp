@@ -64,7 +64,8 @@ struct Transaction {
   void distinct_input_txs(std::vector<TxIndex>& out) const;
 
   /// SHA-256 over the canonical little-endian encoding of index, inputs and
-  /// outputs. Stable across platforms.
+  /// outputs (12 + 8·|inputs| + 12·|outputs| bytes), hashed in one call.
+  /// Stable across platforms and across SHA-256 kernels.
   Digest256 txid() const;
 
   /// Approximate serialized size in bytes, following Bitcoin's rough

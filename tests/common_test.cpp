@@ -1,8 +1,10 @@
 // Unit tests for src/common: RNG, hashing, histograms, tables, flags.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -207,13 +209,6 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(hasher.finish().hex(), Sha256::digest("hello world").hex());
 }
 
-TEST(Sha256Test, UpdateValueIsDeterministic) {
-  Sha256 a, b;
-  a.update_value(std::uint64_t{42});
-  b.update_value(std::uint64_t{42});
-  EXPECT_EQ(a.finish().hex(), b.finish().hex());
-}
-
 TEST(Sha256Test, Low64Differs) {
   EXPECT_NE(Sha256::digest("a").low64(), Sha256::digest("b").low64());
 }
@@ -225,6 +220,94 @@ TEST(Sha256Test, ResetReusesObject) {
   hasher.reset();
   hasher.update("abc");
   EXPECT_EQ(hasher.finish(), first);
+}
+
+// Both compress kernels, driven directly. Sha256 itself runs whichever one
+// the CPU supports; these pin each against FIPS 180-4.
+
+// One-shot digest of `message` through `compress` alone (padding built here).
+Digest256 digest_with(detail::CompressFn compress, std::string_view message) {
+  std::vector<std::uint8_t> padded(message.begin(), message.end());
+  const std::uint64_t bits = 8 * static_cast<std::uint64_t>(message.size());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  compress(state, padded.data(), padded.size() / 64);
+  Digest256 out;
+  for (std::size_t i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+void expect_nist_vectors(detail::CompressFn compress) {
+  EXPECT_EQ(digest_with(compress, "").hex(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(compress, "abc").hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(digest_with(compress,
+                        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopn"
+                        "opq")
+                .hex(),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_with(compress,
+                        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijkl"
+                        "mnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopq"
+                        "rstu")
+                .hex(),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(digest_with(compress, std::string(1000000, 'a')).hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Every length 0..300 (every padding case, up to five blocks): streaming
+// Sha256, the one-shot digest and the given kernel agree.
+void expect_paths_agree(detail::CompressFn compress) {
+  std::string message;
+  for (std::size_t n = 0; n <= 300; ++n) {
+    SCOPED_TRACE(n);
+    const std::span<const std::uint8_t> bytes(
+        reinterpret_cast<const std::uint8_t*>(message.data()), message.size());
+    Sha256 streaming;
+    for (std::size_t i = 0; i < n; i += 7) {
+      streaming.update(bytes.subspan(i, std::min<std::size_t>(7, n - i)));
+    }
+    const Digest256 expected = digest_with(compress, message);
+    EXPECT_EQ(streaming.finish(), expected);
+    EXPECT_EQ(Sha256::digest(bytes), expected);
+    message.push_back(static_cast<char>(n * 131 + 17));
+  }
+}
+
+TEST(Sha256KernelTest, PortableMatchesNistVectors) {
+  expect_nist_vectors(detail::compress_portable);
+}
+
+TEST(Sha256KernelTest, PortableAgreesWithStreamingAndOneShot) {
+  expect_paths_agree(detail::compress_portable);
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesNistVectors) {
+  if (!detail::sha_ni_available()) {
+    GTEST_SKIP() << "CPU or build lacks the x86 SHA extensions";
+  }
+  expect_nist_vectors(detail::compress_sha_ni);
+}
+
+TEST(Sha256KernelTest, ShaNiAgreesWithStreamingAndOneShot) {
+  if (!detail::sha_ni_available()) {
+    GTEST_SKIP() << "CPU or build lacks the x86 SHA extensions";
+  }
+  expect_paths_agree(detail::compress_sha_ni);
+}
+
+TEST(Sha256KernelTest, ChosenKernelIsNamed) {
+  const std::string name = detail::compress_kernel_name();
+  EXPECT_EQ(name, detail::sha_ni_available() ? "sha-ni" : "portable");
 }
 
 // ---------------------------------------------------------------- mix64/fnv

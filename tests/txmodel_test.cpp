@@ -1,8 +1,10 @@
 // Unit tests for src/txmodel: transactions, txids, UTXO-set validation.
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "txmodel/transaction.hpp"
 #include "txmodel/utxo_set.hpp"
+#include "workload/bitcoin_like_generator.hpp"
 
 namespace optchain::tx {
 namespace {
@@ -46,6 +48,53 @@ TEST(TransactionTest, TxidDeterministicAndSensitive) {
   EXPECT_NE(a.txid(), b.txid());
   Transaction c = coinbase(1, 100, 1);
   EXPECT_NE(a.txid(), c.txid());
+}
+
+// Txids pinned to the values of the byte-at-a-time SHA-256 they replaced.
+// The encoding is 12 + 8·inputs + 12·outputs bytes; the cases cover each
+// padding edge of SHA-256 and the heap spill of large transactions.
+TEST(TransactionTest, TxidPinnedAcrossPaddingEdges) {
+  const Transaction coinbase_tx = coinbase(0, 5000000000LL, 7);  // 24 B
+  Transaction one_in_two_out;                                     // 44 B
+  one_in_two_out.index = 1;
+  one_in_two_out.inputs = {{0, 0}};
+  one_in_two_out.outputs = {{2500000000LL, 11}, {2499990000LL, 12}};
+  Transaction one_in_three_out;  // 56 B: the length spills into block two
+  one_in_three_out.index = 2;
+  one_in_three_out.inputs = {{1, 1}};
+  one_in_three_out.outputs = {{1000, 3}, {2000, 4}, {3000, 5}};
+  Transaction two_in_three_out;  // 64 B: exactly one block
+  two_in_three_out.index = 3;
+  two_in_three_out.inputs = {{1, 0}, {2, 2}};
+  two_in_three_out.outputs = {{-1, 0xffffffffu}, {0, 0}, {42, 9}};
+  Transaction seventy_in;  // 584 B: larger than the stack buffer
+  seventy_in.index = 1000;
+  for (std::uint32_t i = 0; i < 70; ++i) {
+    seventy_in.inputs.push_back({i * 13u, i % 3u});
+  }
+  seventy_in.outputs = {{123456789, 77}};
+
+  EXPECT_EQ(coinbase_tx.txid().hex(),
+            "9bf83e388dcd77a7b34492ed196e7f09e4b79147fb674c12acd50207952a4a37");
+  EXPECT_EQ(one_in_two_out.txid().hex(),
+            "9ec08ba047c2fd85994418e33dad922700030a2481d9891b5c4bdb7d8f42fdf7");
+  EXPECT_EQ(one_in_three_out.txid().hex(),
+            "2843ed0dab627f38c91ad550c8a6d42ecdcf4b33ce6e1aa5a18a2a79d9d6ce4c");
+  EXPECT_EQ(two_in_three_out.txid().hex(),
+            "c4fe8e1cd97826a44d2a10d2b7e9b448ce0170bb866bf014887fbfe2291ae8bc");
+  EXPECT_EQ(seventy_in.txid().hex(),
+            "3d39e0b87c42622e3c9660da25a06904f55e41a4226d44662d5211b83b1bf8fd");
+}
+
+// An order-sensitive fold of low64() over the generator's first 200k txids:
+// the value OmniLedger placement reads, pinned for the whole workload mix.
+TEST(TransactionTest, GeneratorTxidFoldPinned) {
+  workload::BitcoinLikeGenerator generator({}, 1);
+  std::uint64_t fold = 0;
+  for (int i = 0; i < 200000; ++i) {
+    fold = mix64(fold ^ generator.next().txid().low64());
+  }
+  EXPECT_EQ(fold, 0x64fdc55d213eaebdULL);
 }
 
 TEST(TransactionTest, SerializedSizeScalesWithInputsOutputs) {
