@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define OPTCHAIN_SHA256_X86 1
+#ifdef OPTCHAIN_SHA256_X86
 #include <immintrin.h>
 #endif
 
@@ -52,19 +51,6 @@ void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
   for (std::size_t i = 0; i < 8; ++i) {
     p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
   }
-}
-
-// Bytes of padding after a message of `length` bytes: 0x80, zeros up to 56
-// mod 64, then the 64-bit big-endian bit length (FIPS 180-4 §5.1.1).
-std::size_t padding_bytes(std::uint64_t length) noexcept {
-  return 1 + (55 - length % 64 + 64) % 64 + 8;
-}
-
-void write_padding(std::uint8_t* out, std::uint64_t length) noexcept {
-  const std::size_t n = padding_bytes(length);
-  out[0] = 0x80;
-  std::memset(out + 1, 0, n - 9);
-  store_be64(out + n - 8, length * 8);
 }
 
 Digest256 to_digest(const std::uint32_t* state) noexcept {
@@ -205,20 +191,7 @@ bool sha_ni_available() noexcept {
          __builtin_cpu_supports("ssse3");
 }
 
-#else
-
-void compress_sha_ni(std::uint32_t* state, const std::uint8_t* data,
-                     std::size_t n_blocks) noexcept {
-  compress_portable(state, data, n_blocks);
-}
-
-bool sha_ni_available() noexcept { return false; }
-
 #endif  // OPTCHAIN_SHA256_X86
-
-const char* compress_kernel_name() noexcept {
-  return sha_ni_available() ? "sha-ni" : "portable";
-}
 
 }  // namespace detail
 
@@ -226,13 +199,21 @@ namespace {
 
 // The kernel every Sha256 call uses, picked on first use.
 detail::CompressFn compress_kernel() noexcept {
+#ifdef OPTCHAIN_SHA256_X86
   static const detail::CompressFn kernel = detail::sha_ni_available()
                                                ? detail::compress_sha_ni
                                                : detail::compress_portable;
   return kernel;
+#else
+  return detail::compress_portable;
+#endif
 }
 
 }  // namespace
+
+const char* detail::compress_kernel_name() noexcept {
+  return compress_kernel() == compress_portable ? "portable" : "sha-ni";
+}
 
 void Sha256::reset() noexcept {
   state_ = kInitialState;
@@ -266,26 +247,21 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Digest256 Sha256::finish() noexcept {
-  std::array<std::uint8_t, 72> padding;
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length
+  // (FIPS 180-4 §5.1.1), fed to update() as one span.
+  std::array<std::uint8_t, 72> padding{};
   const std::uint64_t length = total_bytes_;
-  write_padding(padding.data(), length);
-  update(std::span<const std::uint8_t>(padding.data(), padding_bytes(length)));
+  const std::size_t n = 1 + (55 - length % 64 + 64) % 64 + 8;
+  padding[0] = 0x80;
+  store_be64(padding.data() + n - 8, length * 8);
+  update(std::span<const std::uint8_t>(padding.data(), n));
   return to_digest(state_.data());
 }
 
 Digest256 Sha256::digest(std::span<const std::uint8_t> data) noexcept {
-  const detail::CompressFn compress = compress_kernel();
-  std::array<std::uint32_t, 8> state = kInitialState;
-  const std::size_t whole_blocks = data.size() / 64;
-  if (whole_blocks > 0) compress(state.data(), data.data(), whole_blocks);
-
-  // The tail (< 64 bytes) plus its padding fills one or two blocks.
-  std::array<std::uint8_t, 128> last;
-  const std::size_t tail = data.size() - 64 * whole_blocks;
-  if (tail > 0) std::memcpy(last.data(), data.data() + 64 * whole_blocks, tail);
-  write_padding(last.data() + tail, data.size());
-  compress(state.data(), last.data(), (tail + padding_bytes(data.size())) / 64);
-  return to_digest(state.data());
+  Sha256 hasher;
+  hasher.update(data);
+  return hasher.finish();
 }
 
 std::string Digest256::hex() const {

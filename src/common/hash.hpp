@@ -28,6 +28,11 @@
 #include <string>
 #include <string_view>
 
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+/// Defined when the build compiles the x86 SHA-extensions kernel.
+#define OPTCHAIN_SHA256_X86 1
+#endif
+
 namespace optchain {
 
 /// 256-bit digest.
@@ -61,8 +66,7 @@ class Sha256 {
   /// Finalizes and returns the digest. The object must be reset() before reuse.
   Digest256 finish() noexcept;
 
-  /// One-shot digest: whole blocks straight from `data`, then the tail and
-  /// padding from one stack block pair. No streaming state is kept.
+  /// One-shot digest of `data`: update() then finish() on a fresh hasher.
   static Digest256 digest(std::span<const std::uint8_t> data) noexcept;
   static Digest256 digest(std::string_view text) noexcept {
     return digest(std::span<const std::uint8_t>(
@@ -87,13 +91,14 @@ using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
 void compress_portable(std::uint32_t* state, const std::uint8_t* data,
                        std::size_t n_blocks) noexcept;
 
-/// The x86 SHA-extensions kernel. Call it only when sha_ni_available(); on
-/// builds for other architectures it forwards to compress_portable.
+#ifdef OPTCHAIN_SHA256_X86
+/// The x86 SHA-extensions kernel. Call it only when sha_ni_available().
 void compress_sha_ni(std::uint32_t* state, const std::uint8_t* data,
                      std::size_t n_blocks) noexcept;
 
-/// True when this build has the x86 SHA kernel and the CPU runs it.
+/// True when the CPU has the SHA extensions (and SSSE3/SSE4.1).
 bool sha_ni_available() noexcept;
+#endif
 
 /// Name of the kernel Sha256 uses: "sha-ni" or "portable".
 const char* compress_kernel_name() noexcept;

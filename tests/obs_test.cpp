@@ -27,6 +27,7 @@
 #include "obs/run_tracer.hpp"
 #include "txmodel/serialization.hpp"
 #include "workload/bitcoin_like_generator.hpp"
+#include "crafted_bytes.hpp"
 
 namespace optchain {
 namespace {
@@ -181,46 +182,20 @@ TEST(OtraceReaderTest, RejectsCorruptTraces) {
   EXPECT_THROW(drain(flipped), std::runtime_error);
 }
 
-/// LEB128 varint bytes of `value`, for crafting containers by hand.
-std::string varint(std::uint64_t value) {
-  std::vector<std::uint8_t> bytes;
-  tx::write_varint(bytes, value);
-  return std::string(bytes.begin(), bytes.end());
-}
-
-/// The 12-byte OTRC trailer pointing at `footer_offset`.
-std::string otrace_trailer(std::uint64_t footer_offset) {
-  std::string out;
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(footer_offset >> (8 * i)));
-  }
-  return out + "CRTO";
-}
-
-/// `fn` must throw the reader's own std::runtime_error naming `field`; a
-/// std::bad_alloc or std::length_error escapes and fails the test.
-template <typename Fn>
-void expect_bounded(Fn&& fn, const std::string& field) {
-  try {
-    fn();
-    ADD_FAILURE() << "no error for an oversized " << field;
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("otrace reader"), std::string::npos) << what;
-    EXPECT_NE(what.find(field), std::string::npos) << what;
-  }
-}
-
 TEST(OtraceReaderTest, OversizedHeaderCountsFailWithoutAllocating) {
+  using crafted::expect_bounded;
+  using crafted::trailer;
+  using crafted::varint;
   const std::string header = "OTRC" + varint(1) + varint(1);  // 6 bytes
 
   // Footer claims 2^36 chunks (a 1.5 TiB index) in a 22-byte footer.
   std::string footer = varint(std::uint64_t{1} << 36);
   footer.resize(22, '\0');
   const std::string many_chunks = temp_path("many_chunks.otrace");
-  spit(many_chunks, header + footer + otrace_trailer(header.size()));
+  spit(many_chunks, header + footer + trailer(header.size(), "CRTO"));
   ASSERT_EQ(slurp(many_chunks).size(), 40u);
-  expect_bounded([&] { obs::OtraceReader reader(many_chunks); }, "n_chunks");
+  expect_bounded([&] { obs::OtraceReader reader(many_chunks); },
+                 {"otrace reader", "n_chunks"});
 
   // One chunk whose frame claims a 1 TiB payload.
   const std::string frame = varint(1) + varint(std::uint64_t{1} << 40);
@@ -229,9 +204,10 @@ TEST(OtraceReaderTest, OversizedHeaderCountsFailWithoutAllocating) {
   index.resize(40 - 12 - header.size() - frame.size(), '\0');
   const std::string huge_payload = temp_path("huge_payload.otrace");
   spit(huge_payload, header + frame + index +
-                         otrace_trailer(header.size() + frame.size()));
+                         trailer(header.size() + frame.size(), "CRTO"));
   ASSERT_EQ(slurp(huge_payload).size(), 40u);
-  expect_bounded([&] { drain(huge_payload); }, "payload_bytes");
+  expect_bounded([&] { drain(huge_payload); },
+                 {"otrace reader", "payload_bytes"});
 }
 
 // ---------------------------------------------------------- Chrome export

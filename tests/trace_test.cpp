@@ -22,6 +22,7 @@
 #include "workload/dataset_loader.hpp"
 #include "workload/tan_builder.hpp"
 #include "workload/tx_source.hpp"
+#include "crafted_bytes.hpp"
 
 namespace optchain::trace {
 namespace {
@@ -170,22 +171,6 @@ TEST(TraceCorruptionTest, ChecksumCatchesPayloadFlip) {
   std::remove(path.c_str());
 }
 
-/// LEB128 varint bytes of `value`, for crafting containers by hand.
-std::string varint(std::uint64_t value) {
-  std::vector<std::uint8_t> bytes;
-  tx::write_varint(bytes, value);
-  return std::string(bytes.begin(), bytes.end());
-}
-
-/// The 12-byte OPTX v2 trailer pointing at `footer_offset`.
-std::string optx_trailer(std::uint64_t footer_offset) {
-  std::string out;
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(footer_offset >> (8 * i)));
-  }
-  return out + "XTPO";
-}
-
 std::string write_bytes(const std::string& name, const std::string& bytes) {
   const std::string path = temp_path(name);
   std::ofstream(path, std::ios::binary)
@@ -201,52 +186,42 @@ void drain(const std::string& path) {
   }
 }
 
-/// `fn` must throw a std::runtime_error naming `field`; a std::bad_alloc
-/// or std::length_error from an unchecked reserve escapes and fails.
-template <typename Fn>
-void expect_bounded(Fn&& fn, const std::string& field) {
-  try {
-    fn();
-    ADD_FAILURE() << "no error for an oversized " << field;
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
-        << error.what();
-  }
-}
-
 TEST(TraceCorruptionTest, OversizedCountsFailWithoutAllocating) {
+  using crafted::expect_bounded;
+  using crafted::trailer;
+  using crafted::varint;
   const std::uint64_t huge = std::uint64_t{1} << 62;
 
   // v1 flat stream: one transaction claiming 2^62 inputs, then outputs.
   const std::string v1 = "OPTX" + varint(1) + varint(1);
   expect_bounded([&] { drain(write_bytes("inputs.optx", v1 + varint(huge))); },
-                 "n_inputs");
+                 {"n_inputs"});
   expect_bounded(
       [&] { drain(write_bytes("outputs.optx", v1 + varint(0) + varint(huge))); },
-      "n_outputs");
+      {"n_outputs"});
   const std::string flat = "OPTX" + varint(1) + varint(huge) + varint(0);
   expect_bounded(
       [&] {
         tx::decode_transactions(std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(flat.data()), flat.size()));
       },
-      "transaction count");
+      {"transaction count"});
 
   // v2 container: a footer claiming 2^40 chunks, then a chunk frame
   // claiming a 1 TiB payload.
   const std::string header = "OPTX" + varint(2) + varint(1);
   const std::string many_chunks =
-      header + varint(std::uint64_t{1} << 40) + optx_trailer(header.size());
+      header + varint(std::uint64_t{1} << 40) + trailer(header.size(), "XTPO");
   expect_bounded([&] { TraceReader reader(write_bytes("chunks.optx",
                                                        many_chunks)); },
-                 "n_chunks");
+                 {"n_chunks"});
   const std::string frame = varint(1) + varint(std::uint64_t{1} << 40);
   const std::string index = varint(1) + varint(header.size()) + varint(0) +
                             varint(1) + varint(1);
   const std::string huge_payload =
-      header + frame + index + optx_trailer(header.size() + frame.size());
+      header + frame + index + trailer(header.size() + frame.size(), "XTPO");
   expect_bounded([&] { drain(write_bytes("payload.optx", huge_payload)); },
-                 "payload_bytes");
+                 {"payload_bytes"});
 }
 
 TEST(TraceSeekTest, WindowedSeekLoadsOnlyWindowChunks) {
