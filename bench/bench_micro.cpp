@@ -163,7 +163,9 @@ void BM_EventQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024);
+// 262144 is the sequential engine's event-heap peak on the perfbench
+// sim_adversarial workload (200k txs, wan fabric).
+BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024)->Arg(262144);
 
 /// The engine's outpoint ledger behind the map interface of the benchmark:
 /// sim::OutpointLedger (Arg 0) against the std::unordered_map it replaced

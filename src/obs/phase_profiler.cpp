@@ -10,6 +10,8 @@ const char* phase_name(Phase phase) noexcept {
       return "sim.parallel.phase_b";
     case Phase::kSimLedger:
       return "sim.ledger";
+    case Phase::kSimCommit:
+      return "sim.commit";
     case Phase::kSimFabric:
       return "sim.fabric";
     case Phase::kPlaceT2s:

@@ -4,10 +4,10 @@
 // the phase-B coordinator replay (it is the serial fraction — Amdahl
 // ceiling)". PhaseProfiler answers that with scoped wall-clock timers on a
 // fixed set of engine phases — the parallel engine's phase-A/phase-B split,
-// the sequential engine's outpoint ledger and link fabric, the OptChain
-// placer's T2S/L2S scoring split, the batch front-end's
-// prepare/score/commit stages, and SweepRunner cell execution — surfaced as the `profile` section of api::RunReport and the
-// bench JSON.
+// the sequential engine's block commits, outpoint ledger and link fabric,
+// the OptChain placer's T2S/L2S scoring split, the batch front-end's
+// prepare/score/commit stages, and SweepRunner cell execution — surfaced as
+// the `profile` section of api::RunReport and the bench JSON.
 //
 // Wall-clock data is STRICTLY segregated from simulated-time results
 // (determinism rule 9, docs/ARCHITECTURE.md): nothing here ever feeds a
@@ -32,6 +32,7 @@ enum class Phase : std::uint8_t {
   kSimPhaseA = 0,   ///< parallel engine: workers execute a window
   kSimPhaseB,       ///< parallel engine: coordinator merged replay (serial)
   kSimLedger,       ///< sequential engine: outpoint lock, release and spend
+  kSimCommit,       ///< sequential engine: one committed block's items
   kSimFabric,       ///< LinkFabric::message_delay (either engine)
   kPlaceT2s,        ///< OptChain placer: T2S scoring of one transaction
   kPlaceL2s,        ///< OptChain placer: L2S scoring of one transaction

@@ -1,17 +1,23 @@
 // Deterministic discrete-event core.
 //
-// Events are typed POD records in a flat binary heap keyed by
-// (time, content, sequence): time ties break on the event's *content*
-// (a per-type rank, then the payload fields), with the schedule-order
-// sequence number only as the final fallback. A content key instead of pure
-// schedule order is what makes the order reproducible across engines — the
-// parallel engine (sim/parallel/) runs one queue per shard group and merges
-// worker streams by the same key, so both engines execute events in exactly
-// the same order even though their per-queue sequence numbers differ. No two
-// distinct simultaneous protocol events share a full content key (shard, tx
-// and type disambiguate every message class), so the seq fallback never
-// decides between engines. Determinism is tested in tests/sim_test.cpp and
-// the cross-engine contract in tests/parallel_sim_test.cpp.
+// Events are typed POD records in a flat 4-ary min-heap keyed by
+// (time, content): time ties break on the event's *content* (a per-type
+// rank, then the payload fields). A content key instead of schedule order
+// is what makes the order reproducible across engines — the parallel engine
+// (sim/parallel/) runs one queue per shard group and merges worker streams
+// by the same key, so both engines execute events in exactly the same order.
+// No two distinct simultaneous protocol events share a full content key
+// (shard, tx and type disambiguate every message class). Determinism is
+// tested in tests/sim_test.cpp and the cross-engine contract in
+// tests/parallel_sim_test.cpp.
+//
+// The heap needs no schedule-order sequence number: content_order()
+// compares every field of an Event, so two entries with equal (time,
+// content) keys are byte-identical, and whichever pops first the handler
+// sees the same sequence of (time, event) pairs. An entry is therefore 24
+// bytes (time + 12-byte event, padded), and four children per node halve
+// the heap's depth, so a sift touches fewer, denser cache lines on the
+// ~267k pending events of a saturated run.
 //
 // The rank orders simultaneous events sensibly: scripted churn first (a
 // membership change at time t precedes t's traffic), then re-partition
@@ -136,8 +142,8 @@ inline std::size_t event_heap_reserve(
 }
 
 /// Full cross-engine ordering key of a scheduled event: (time, content).
-/// Strict-weak; equal keys (same time, same content) only occur for the
-/// *same* logical event, so any per-queue seq fallback is engine-local.
+/// Strict-weak; equal keys (same time, same content) only occur for
+/// byte-identical events, so their relative order is unobservable.
 constexpr bool event_key_less(SimTime ta, const Event& ea, SimTime tb,
                               const Event& eb) noexcept {
   if (ta != tb) return ta < tb;
@@ -160,7 +166,7 @@ class EventQueue {
   /// Schedules `event` at absolute time `at` (must not precede now()).
   void schedule(SimTime at, const Event& event) {
     OPTCHAIN_EXPECTS(at >= now_);
-    heap_.push_back(Entry{at, next_seq_++, event});
+    heap_.push_back(Entry{at, event});
     if (heap_.size() > 1) sift_up(heap_.size() - 1);
     if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
   }
@@ -202,7 +208,7 @@ class EventQueue {
   /// afterwards. Shard churn uses this to move a retiring shard group's
   /// pending events (its in-flight round, late deliveries) to the successor
   /// group's queue — the content tie-break key makes the re-scheduled order
-  /// independent of the new queue's sequence numbers.
+  /// independent of the order they are scheduled in there.
   template <typename Pred>
   std::vector<std::pair<SimTime, Event>> extract_if(Pred pred) {
     std::vector<std::pair<SimTime, Event>> extracted;
@@ -216,7 +222,10 @@ class EventQueue {
     }
     if (!extracted.empty()) {
       heap_.resize(kept);
-      for (std::size_t i = kept / 2; i-- > 0;) sift_down(i);
+      // Bottom-up heapify from the last node that has a child.
+      if (kept > 1) {
+        for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) sift_down(i);
+      }
     }
     return extracted;
   }
@@ -230,7 +239,6 @@ class EventQueue {
   /// devirtualizes the dispatch entirely.
   bool run_one(EventHandler& handler) {
     if (heap_.empty()) return false;
-    // Copy out only what outlives the pop (the seq number is dead here).
     const SimTime time = heap_.front().time;
     const Event event = heap_.front().event;
     if (heap_.size() > 1) {
@@ -257,23 +265,23 @@ class EventQueue {
     return executed;
   }
 
- private:
+  /// One heap slot: an event and its absolute time, 24 bytes.
   struct Entry {
     SimTime time;
-    std::uint64_t seq;
     Event event;
   };
+
+ private:
+  static constexpr std::size_t kArity = 4;
+
   static bool earlier(const Entry& a, const Entry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    const int content = content_order(a.event, b.event);
-    if (content != 0) return content < 0;
-    return a.seq < b.seq;
+    return event_key_less(a.time, a.event, b.time, b.event);
   }
 
   void sift_up(std::size_t i) noexcept {
     const Entry moved = heap_[i];
     while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
+      const std::size_t parent = (i - 1) / kArity;
       if (!earlier(moved, heap_[parent])) break;
       heap_[i] = heap_[parent];
       i = parent;
@@ -285,9 +293,13 @@ class EventQueue {
     const std::size_t n = heap_.size();
     const Entry moved = heap_[i];
     while (true) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      const std::size_t last = std::min(first + kArity, n);
+      std::size_t child = first;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (earlier(heap_[c], heap_[child])) child = c;
+      }
       if (!earlier(heap_[child], moved)) break;
       heap_[i] = heap_[child];
       i = child;
@@ -295,11 +307,10 @@ class EventQueue {
     heap_[i] = moved;
   }
 
-  // Min-heap over (time, content, seq) in a flat vector: reservable, POD
+  // 4-ary min-heap over (time, content) in a flat vector: reservable, POD
   // moves only.
   std::vector<Entry> heap_;
   SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   std::size_t peak_pending_ = 0;
 };
 

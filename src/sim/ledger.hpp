@@ -12,9 +12,35 @@
 //                   keeps its vectors' capacity. Memory is O(peak live
 //                   records) plus 4 bytes per index between the oldest live
 //                   transaction and the newest.
-//   OutpointLedger  open addressing with linear probing and backward-shift
-//                   erase (no tombstones), 16-byte entries, load factor at or
-//                   below 0.75, pre-sized from the stream's size hint.
+//   OutpointLedger  open addressing with linear probing, Robin Hood
+//                   insertion and backward-shift erase (no tombstones),
+//                   16-byte entries, load factor at or below 0.75, pre-sized
+//                   from the stream's size hint.
+//
+// The ledger's home bucket is tx-major when the stream's length is known.
+// A transaction spends outputs of recent transactions (median parent
+// distance 25 in a Bitcoin-like stream), and a block commits its lock and
+// spend items seconds of simulated time after they were queued. With a
+// hashed home every one of those probes lands on a random line of a table
+// of 2^19-2^21 buckets. Tx-major, outpoint (tx, vout) starts probing at
+// tx × buckets/funders + vout × kVoutSpread: the outpoints the protocol is
+// working on sit in one compact, cache-resident band that moves forward
+// with the stream. The spread sends one funder's outputs to different
+// neighbourhoods (129 buckets ≈ 50 funders apart), so a transaction with
+// many spent outputs does not pile them onto one probe run. On 200k
+// Bitcoin-like transactions the mean probe distance is 0.375 against 0.670
+// for the hashed home (plain tx × 2 + vout: 5.4, and runs of 1,700
+// buckets).
+//
+// Homes are mixed (mix64) instead when the funder count is unknown (an
+// unhinted stream fills the table front to back at the growth threshold's
+// density, so it would probe further than a hashed table), for synthetic
+// outpoints (workload::DynamicTxSource's injected vouts), and for the rest
+// of a run once an insert walks past kMaxTxMajorWalk buckets: many more
+// outpoints per funder than the table was sized for crowd the band behind
+// the newest funder (hashed synthetic outpoints on top of a tx-major band
+// do; a Bitcoin-like stream's longest walk at 1M transactions is 750).
+// Robin Hood insertion keeps the longest probe short in either layout.
 //
 // Neither type is ever iterated, so its layout cannot leak into a result.
 #pragma once
@@ -23,13 +49,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "txmodel/transaction.hpp"
+#include "workload/dynamic_profile.hpp"
 
 namespace optchain::sim {
+
+/// Cache prefetch hint for a line about to be read and written (no-op on
+/// toolchains without __builtin_prefetch). Never faults, whatever the
+/// address.
+inline void prefetch_for_write(const void* address) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(address, 1, 3);
+#else
+  (void)address;
+#endif
+}
 
 /// Everything the protocol still needs about an issued, not-yet-terminal
 /// transaction. Dropped once the transaction commits, or aborts and every
@@ -112,6 +151,16 @@ class InflightTable {
     return record_of(slot(index));
   }
 
+  /// The live record of `index`, or nullptr when there is none.
+  const InflightRecord* find(std::uint32_t index) const noexcept {
+    return contains(index) ? &record_of(slot(index)) : nullptr;
+  }
+
+  /// Prefetches the ring slot of `index` (any index; a hint only).
+  void prefetch_slot(std::uint32_t index) const noexcept {
+    if (!ring_.empty()) prefetch_for_write(&slot(index));
+  }
+
   /// Drops the live record of `index`; its storage goes to the free list.
   void erase(std::uint32_t index) {
     OPTCHAIN_ASSERT(contains(index));
@@ -135,10 +184,13 @@ class InflightTable {
   std::uint32_t& slot(std::uint32_t index) noexcept {
     return ring_[index & (ring_.size() - 1)];
   }
-  std::uint32_t slot(std::uint32_t index) const noexcept {
+  const std::uint32_t& slot(std::uint32_t index) const noexcept {
     return ring_[index & (ring_.size() - 1)];
   }
   InflightRecord& record_of(std::uint32_t handle) noexcept {
+    return pages_[handle / kPageRecords][handle % kPageRecords];
+  }
+  const InflightRecord& record_of(std::uint32_t handle) const noexcept {
     return pages_[handle / kPageRecords][handle % kPageRecords];
   }
 
@@ -173,21 +225,34 @@ class OutpointLedger {
   };
   static_assert(sizeof(Entry) <= 16);
 
+  /// Home-bucket distance between output v and output v + 1 of one funder.
+  static constexpr std::uint64_t kVoutSpread = 129;
+
   static std::uint64_t key_of(const tx::OutPoint& point) noexcept {
     return (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
   }
 
   /// Sizes the table so `entries` fit at a load factor of at most 0.75.
-  void reserve(std::size_t entries) {
-    std::size_t buckets = kMinBuckets;
+  /// `funders`, when non-zero, is the number of funding transactions
+  /// (outpoint tx indices [0, funders)): homes then become tx-major, with
+  /// the funders spread over every bucket.
+  void reserve(std::size_t entries, std::size_t funders = 0) {
+    std::size_t buckets = std::max(kMinBuckets, slots_.size());
     while (buckets * 3 / 4 < entries) buckets *= 2;
-    if (buckets > slots_.size()) rehash(buckets);
+    const std::uint64_t scale =
+        funders == 0 ? funder_scale_
+                     : (static_cast<std::uint64_t>(buckets) << 32) / funders;
+    if (buckets != slots_.size() || scale != funder_scale_) {
+      rehash(buckets, scale);
+    }
   }
 
-  /// Empties the table, keeping its buckets.
+  /// Empties the table, keeping its buckets; homes are mixed again until
+  /// the next reserve() names the funders.
   void clear() {
     std::fill(slots_.begin(), slots_.end(), Entry{});
     size_ = 0;
+    funder_scale_ = 0;
   }
 
   /// The entry of `key`, or nullptr when the outpoint is available.
@@ -200,16 +265,26 @@ class OutpointLedger {
   /// Sets `key` to (state, owner), inserting it if absent.
   void assign(std::uint64_t key, OutpointState state, std::uint32_t owner) {
     OPTCHAIN_ASSERT(state != OutpointState{});
-    if (slots_.empty()) rehash(kMinBuckets);
-    std::size_t i = slot_for(key);
-    if (slots_[i].state == OutpointState{}) {
-      if ((size_ + 1) * 4 > slots_.size() * 3) {
-        rehash(slots_.size() * 2);
-        i = slot_for(key);
-      }
-      ++size_;
+    if (slots_.empty()) rehash(kMinBuckets, funder_scale_);
+    Entry& slot = slots_[slot_for(key)];
+    if (slot.state != OutpointState{}) {
+      slot.owner = owner;
+      slot.state = state;
+      return;
     }
-    slots_[i] = Entry{key, owner, state};
+    // Doubling keeps the funders spread over every bucket: a stream's
+    // length is known exactly when it is known at all, so outgrowing the
+    // table means more outpoints per funder than it was sized for.
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      rehash(slots_.size() * 2, funder_scale_ * 2);
+    }
+    // A walk this long means the tx-major band is crowded (see the file
+    // comment): re-home everything mixed for the rest of the run.
+    if (place(Entry{key, owner, state}) > kMaxTxMajorWalk &&
+        funder_scale_ != 0) {
+      rehash(slots_.size(), 0);
+    }
+    ++size_;
   }
 
   /// Removes `key`; returns whether it was present. Later entries of the
@@ -233,17 +308,40 @@ class OutpointLedger {
     return true;
   }
 
+  /// Prefetches the home bucket of `key` (a hint only).
+  void prefetch(std::uint64_t key) const noexcept {
+    if (!slots_.empty()) prefetch_for_write(&slots_[home_bucket(key)]);
+  }
+
   std::size_t size() const noexcept { return size_; }
+  /// Whether homes are tx-major (see the file comment) rather than mixed.
+  bool tx_major() const noexcept { return funder_scale_ != 0; }
   /// Buckets (a power of two, or 0 before the first insert).
   std::size_t bucket_count() const noexcept { return slots_.size(); }
-  /// The bucket where probing for `key` starts.
+
+  /// The bucket where probing for `key` starts (see the file comment).
   std::size_t home_bucket(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>(mix64(key)) & mask();
+    const auto vout = static_cast<std::uint32_t>(key);
+    if (funder_scale_ == 0 ||
+        vout >= workload::DynamicTxSource::kInjectedVoutBase) {
+      return static_cast<std::size_t>(mix64(key)) & mask();
+    }
+    const std::uint64_t funder = key >> 32;
+    return static_cast<std::size_t>(((funder * funder_scale_) >> 32) +
+                                    vout * kVoutSpread) &
+           mask();
+  }
+
+  /// Buckets probed past the home bucket to reach `key` (or the empty
+  /// bucket that ends its probe run).
+  std::size_t probe_distance(std::uint64_t key) const noexcept {
+    if (slots_.empty()) return 0;
+    return (slot_for(key) - home_bucket(key)) & mask();
   }
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
-
+  static constexpr std::size_t kMaxTxMajorWalk = 4096;
   std::size_t mask() const noexcept { return slots_.size() - 1; }
 
   /// The bucket holding `key`, or the empty bucket that ends its probe run
@@ -256,19 +354,43 @@ class OutpointLedger {
     return i;
   }
 
-  void rehash(std::size_t buckets) {
+  /// Robin Hood insertion of an absent key: walking from its home, the
+  /// entry in hand takes the bucket of any resident that sits nearer to its
+  /// own home and carries that resident on instead. Lookups are unchanged;
+  /// the longest probe distance stays short even where homes crowd.
+  /// Returns the number of buckets walked past the home bucket.
+  std::size_t place(Entry entry) noexcept {
+    std::size_t i = home_bucket(entry.key);
+    std::size_t distance = 0;
+    std::size_t walked = 0;
+    while (slots_[i].state != OutpointState{}) {
+      const std::size_t resident = (i - home_bucket(slots_[i].key)) & mask();
+      if (resident < distance) {
+        std::swap(entry, slots_[i]);
+        distance = resident;
+      }
+      i = (i + 1) & mask();
+      ++distance;
+      ++walked;
+    }
+    slots_[i] = entry;
+    return walked;
+  }
+
+  void rehash(std::size_t buckets, std::uint64_t scale) {
     std::vector<Entry> old(buckets);
     old.swap(slots_);
+    funder_scale_ = scale;
     for (const Entry& entry : old) {
-      if (entry.state == OutpointState{}) continue;
-      std::size_t i = home_bucket(entry.key);
-      while (slots_[i].state != OutpointState{}) i = (i + 1) & mask();
-      slots_[i] = entry;
+      if (entry.state != OutpointState{}) place(entry);
     }
   }
 
   std::vector<Entry> slots_;
   std::size_t size_ = 0;
+  /// Buckets per funder in 32.32 fixed point; 0 = funders unknown (mixed
+  /// homes).
+  std::uint64_t funder_scale_ = 0;
 };
 
 }  // namespace optchain::sim

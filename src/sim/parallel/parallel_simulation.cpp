@@ -67,8 +67,11 @@ void ParallelSimulation::spawn_shard_node() {
   const std::uint32_t w = s % jobs_;
   shards_.push_back(std::make_unique<ShardNode>(
       s, leader, std::move(spawned.model), workers_[w].queue,
-      [this](std::uint32_t shard, const QueueItem& item, SimTime time) {
-        worker_item_committed(shard, item, time);
+      [this](std::uint32_t shard, std::span<const QueueItem> block,
+             SimTime time) {
+        for (const QueueItem& item : block) {
+          worker_item_committed(shard, item, time);
+        }
       },
       faults));
   shard_to_worker_.push_back(w);

@@ -65,9 +65,9 @@ void ShardNode::complete_round() {
   last_round_duration_ = round_duration_;
   const SimTime now = events_->now();
   // The commit callback never enqueues into this shard synchronously (every
-  // protocol reaction travels through the event queue), so iterating the
+  // protocol reaction travels through the event queue), so lending it the
   // member block buffer is safe until try_start_round() refills it below.
-  for (const QueueItem& item : round_block_) on_commit_(id_, item, now);
+  on_commit_(id_, round_block_, now);
   try_start_round();
 }
 

@@ -12,16 +12,19 @@
 // ConsensusModel. Round completion is scheduled as a typed kBlockCommit /
 // kViewChange event carrying this shard's id; whoever dispatches the event
 // queue (the Simulation, or a test harness) routes it back via
-// complete_round(), which reports every item in the block through the commit
-// callback (proof-of-acceptance for locks, final commit for the others).
-// The in-flight block lives in a member buffer reused across rounds, so the
-// steady-state block loop performs no heap allocation.
+// complete_round(), which hands the whole block, in FIFO order, to the
+// commit callback in one call (proof-of-acceptance for locks, final commit
+// for the others). One call per block instead of one per item lets the
+// receiver walk the block with software prefetch ahead of the item it is
+// processing. The in-flight block lives in a member buffer reused across
+// rounds, so the steady-state block loop performs no heap allocation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,9 +59,10 @@ struct QueueItem {
 
 class ShardNode {
  public:
-  /// Called once per item when the block containing it commits.
-  using CommitCallback =
-      std::function<void(std::uint32_t shard, const QueueItem&, SimTime)>;
+  /// Called once per committed block with its items in FIFO order; every
+  /// item commits at the same time. The span is valid only for the call.
+  using CommitCallback = std::function<void(
+      std::uint32_t shard, std::span<const QueueItem> block, SimTime)>;
 
   ShardNode(std::uint32_t id, Position leader_position, ConsensusModel model,
             EventQueue& events, CommitCallback on_commit,

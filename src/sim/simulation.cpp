@@ -47,9 +47,8 @@ void Simulation::spawn_shard_node() {
   faults.seed = config_.seed;
   shards_.push_back(std::make_unique<ShardNode>(
       s, leader, std::move(model), events_,
-      [this](std::uint32_t shard, const QueueItem& item, SimTime time) {
-        on_item_committed(shard, item, time);
-      },
+      [this](std::uint32_t shard, std::span<const QueueItem> block,
+             SimTime time) { on_block_committed(shard, block, time); },
       faults));
   OPTCHAIN_ASSERT(fabric_.add_endpoint() == endpoint_of(s));
   // Stateless fabric propagation (= the flat model when disabled), so the
@@ -132,10 +131,12 @@ SimResult Simulation::run(workload::TxSource& source,
     // Pre-size everything that scales with the stream so the run never
     // rehashes or reallocates per-transaction state mid-flight: the
     // lock/spend ledger ends a Bitcoin-like run with ~1.5 entries per
-    // transaction (293,815 for 200k transactions), and the pipeline
+    // transaction (293,815 for 200k transactions) and takes the length as
+    // its funder count (tx-major homes, sim/ledger.hpp), and the pipeline
     // forwards the hint to its dag, assignment and placer
     // (TanDag::reserve / ScorePool::reserve).
-    outpoints_.reserve(static_cast<std::size_t>(*hint * 3 / 2));
+    outpoints_.reserve(static_cast<std::size_t>(*hint * 3 / 2),
+                       static_cast<std::size_t>(*hint));
     pipeline.reserve(*hint);
     if (repartition_enabled()) {
       live_outputs_.reserve(static_cast<std::size_t>(*hint));
@@ -420,6 +421,43 @@ void Simulation::spend_inputs(std::uint32_t index) {
         if (live > 0) --live;
       }
     }
+  }
+}
+
+void Simulation::on_block_committed(std::uint32_t shard,
+                                    std::span<const QueueItem> block,
+                                    SimTime time) {
+  obs::ScopedPhase timer(obs::Phase::kSimCommit);
+  // A block's items were enqueued seconds of simulated time ago, so their
+  // in-flight records, input lists and ledger buckets have usually left the
+  // cache. Each step prefetches one pipeline stage for an item further down
+  // the block, each stage reading what the previous one fetched: the ring
+  // slot, then the record it names, then the record's input list, then the
+  // ledger home bucket of every input. By the time the walk reaches an item,
+  // its lines are in flight or in cache. Prefetches are hints only, so the
+  // walk commits exactly what an item-by-item loop would.
+  constexpr std::size_t kSlotAhead = 16;
+  constexpr std::size_t kRecordAhead = 12;
+  constexpr std::size_t kInputsAhead = 8;
+  constexpr std::size_t kLedgerAhead = 4;
+  const std::size_t n = block.size();
+  const auto record_at = [&](std::size_t j) -> const InflightRecord* {
+    return j < n ? inflight_.find(block[j].tx) : nullptr;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kSlotAhead < n) inflight_.prefetch_slot(block[i + kSlotAhead].tx);
+    if (const InflightRecord* ahead = record_at(i + kRecordAhead)) {
+      prefetch_for_write(ahead);
+    }
+    if (const InflightRecord* ahead = record_at(i + kInputsAhead)) {
+      prefetch_for_write(ahead->inputs.data());
+    }
+    if (const InflightRecord* ahead = record_at(i + kLedgerAhead)) {
+      for (const tx::OutPoint& point : ahead->inputs) {
+        outpoints_.prefetch(OutpointLedger::key_of(point));
+      }
+    }
+    on_item_committed(shard, block[i], time);
   }
 }
 

@@ -206,6 +206,10 @@ class Simulation final : private EventHandler {
                            std::uint64_t migrated_txs,
                            std::uint64_t migrated_utxos);
   void issue_transaction(std::uint32_t index);
+  /// ShardNode commit callback: walks the block with a staged prefetch
+  /// pipeline and hands each item to on_item_committed in order.
+  void on_block_committed(std::uint32_t shard,
+                          std::span<const QueueItem> block, SimTime time);
   void on_item_committed(std::uint32_t shard, const QueueItem& item,
                          SimTime time);
   void commit_transaction(std::uint32_t index, SimTime time);

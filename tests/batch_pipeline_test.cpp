@@ -60,7 +60,7 @@ std::vector<tx::Transaction> chain_stream(std::size_t n) {
     if (i > 0) {
       txs[i].inputs.push_back({static_cast<tx::TxIndex>(i - 1), 0});
     }
-    txs[i].outputs.push_back({50, static_cast<std::uint64_t>(i)});
+    txs[i].outputs.push_back({50, static_cast<tx::WalletId>(i)});
   }
   return txs;
 }

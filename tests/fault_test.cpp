@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 
 #include "api/placement_pipeline.hpp"
 #include "placement/random_placer.hpp"
@@ -51,7 +52,7 @@ TEST(ShardFaultsTest, ViewChangeExtendsRound) {
   always_faulty.view_change_penalty_s = 7.0;
   double commit_time = 0.0;
   ShardNode shard(0, {0.5, 0.5}, std::move(model), events,
-                  [&](std::uint32_t, const QueueItem&, SimTime t) {
+                  [&](std::uint32_t, std::span<const QueueItem>, SimTime t) {
                     commit_time = t;
                   },
                   always_faulty);
@@ -76,7 +77,7 @@ TEST(ShardFaultsTest, SlowdownScalesRounds) {
   slow.slowdown = 3.0;
   double commit_time = 0.0;
   ShardNode shard(0, {0.5, 0.5}, std::move(model), events,
-                  [&](std::uint32_t, const QueueItem&, SimTime t) {
+                  [&](std::uint32_t, std::span<const QueueItem>, SimTime t) {
                     commit_time = t;
                   },
                   slow);

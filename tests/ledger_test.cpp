@@ -1,18 +1,26 @@
 // Engine-state suite (sim/ledger.hpp): OutpointLedger against
 // std::unordered_map under random insert/find/erase traffic (probe runs
-// that wrap past the end of the table, growth with live entries), and
-// InflightTable under in-order issue with out-of-order erase (ring wrap and
-// growth with old entries live, record reuse, pool bounded by peak live).
+// that wrap past the end of the table, growth with live entries), with
+// mixed and with tx-major homes; probe-distance bounds of the tx-major
+// layout on generated streams, held against the mixed layout on the same
+// keys; and InflightTable under in-order issue with out-of-order erase
+// (ring wrap and growth with old entries live, record reuse, pool bounded
+// by peak live).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "sim/ledger.hpp"
+#include "workload/dynamic_profile.hpp"
+#include "workload/tx_source.hpp"
 
 namespace optchain {
 namespace {
@@ -44,9 +52,12 @@ void expect_all_present(const OutpointLedger& ledger,
 
 // ------------------------------------------------------- OutpointLedger
 
-TEST(OutpointLedger, MatchesUnorderedMapUnderRandomTraffic) {
+/// Random insert/find/erase traffic against std::unordered_map. `funders`
+/// non-zero gives the ledger tx-major homes over that many funders.
+void expect_map_semantics_under_random_traffic(std::size_t funders) {
   std::mt19937_64 rng(13);
-  OutpointLedger ledger;  // no reserve: grows while entries are live
+  OutpointLedger ledger;  // not sized: grows while entries are live
+  if (funders > 0) ledger.reserve(0, funders);
   Reference reference;
   // A key space a few times the live set keeps the table dense, so probe
   // runs are long and regularly wrap past the last bucket.
@@ -90,9 +101,21 @@ TEST(OutpointLedger, MatchesUnorderedMapUnderRandomTraffic) {
   expect_all_present(ledger, reference);
 }
 
-TEST(OutpointLedger, EraseShiftsBackAcrossTheWrap) {
+TEST(OutpointLedger, MatchesUnorderedMapUnderRandomTraffic) {
+  expect_map_semantics_under_random_traffic(0);
+}
+
+TEST(OutpointLedger, TxMajorMatchesUnorderedMapUnderRandomTraffic) {
+  // 1500 funders over 16 buckets to start with: homes crowd, and every
+  // doubling keeps the funders-per-bucket ratio.
+  expect_map_semantics_under_random_traffic(1500);
+}
+
+/// Backward-shift erase over probe runs that wrap past the last bucket.
+/// `funders` non-zero gives the ledger tx-major homes.
+void expect_erase_shifts_back_across_the_wrap(std::size_t funders) {
   OutpointLedger ledger;
-  ledger.reserve(8);
+  ledger.reserve(8, funders);
   const std::size_t buckets = ledger.bucket_count();
   ASSERT_EQ(buckets, 16u);
   // Keys homed in the last two buckets: their probe runs wrap to bucket 0.
@@ -105,13 +128,14 @@ TEST(OutpointLedger, EraseShiftsBackAcrossTheWrap) {
     if (home == buckets - 2) second_last.push_back(key);
     if (home == 0) first.push_back(key);
   }
-  // Layout: [14] s0, [15] l0, [0] l1, [1] s1, [2] l2, [3] f0, [4] l3, [5] f1.
+  // Robin Hood layout: [14] s0, [15] s1, [0] l1, [1] l0, [2] l2, [3] l3,
+  // [4] f0, [5] f1.
   const std::vector<std::uint64_t> order = {second_last[0], last[0], last[1],
                                             second_last[1], last[2], first[0],
                                             last[3], first[1]};
   for (int victim = 0; victim < static_cast<int>(order.size()); ++victim) {
     OutpointLedger table;
-    table.reserve(8);
+    table.reserve(8, funders);
     Reference reference;
     for (std::size_t i = 0; i < order.size(); ++i) {
       table.assign(order[i], OutpointState::kLocked,
@@ -133,6 +157,14 @@ TEST(OutpointLedger, EraseShiftsBackAcrossTheWrap) {
     }
     EXPECT_EQ(table.size(), 0u);
   }
+}
+
+TEST(OutpointLedger, EraseShiftsBackAcrossTheWrap) {
+  expect_erase_shifts_back_across_the_wrap(0);
+}
+
+TEST(OutpointLedger, TxMajorEraseShiftsBackAcrossTheWrap) {
+  expect_erase_shifts_back_across_the_wrap(4);
 }
 
 TEST(OutpointLedger, ReserveSizesForTheHintAndClearKeepsBuckets) {
@@ -177,6 +209,159 @@ TEST(OutpointLedger, ReserveSizesForTheHintAndClearKeepsBuckets) {
   EXPECT_EQ(small.size(), 13u);
   EXPECT_EQ(small.find(OutpointLedger::key_of({5, 0}))->state,
             OutpointState::kSpent);
+}
+
+// ------------------------------------------------- home-bucket layout
+
+struct ProbeStats {
+  double mean = 0.0;
+  std::size_t max = 0;
+};
+
+/// The outpoints a run's ledger ends with: every input of the stream, in
+/// stream order (spends persist).
+struct SpentKeys {
+  std::vector<std::uint64_t> keys;
+  std::uint64_t txs = 0;
+};
+SpentKeys spent_keys(workload::TxSource& source) {
+  SpentKeys spent;
+  tx::Transaction transaction;
+  while (source.next(transaction)) {
+    ++spent.txs;
+    for (const tx::OutPoint& point : transaction.inputs) {
+      spent.keys.push_back(OutpointLedger::key_of(point));
+    }
+  }
+  return spent;
+}
+
+struct LayoutComparison {
+  ProbeStats ledger;
+  bool tx_major = false;  ///< the ledger's homes at the end
+  ProbeStats mixed;
+};
+
+/// The probe distances of `keys` inserted the way a run does (pre-sized
+/// from the stream's size hint when it has one), next to those of the
+/// layout the ledger had before its homes became tx-major: home mix64(key),
+/// linear probing, the same sizing and growth (doubling past load 0.75,
+/// re-inserting in bucket order).
+LayoutComparison compare_layouts(const std::vector<std::uint64_t>& keys,
+                                 std::optional<std::uint64_t> hint) {
+  LayoutComparison result;
+  OutpointLedger ledger;
+  if (hint.has_value()) ledger.reserve(*hint * 3 / 2, *hint);
+  for (const std::uint64_t key : keys) {
+    ledger.assign(key, OutpointState::kSpent, 0);
+  }
+  for (const std::uint64_t key : keys) {
+    EXPECT_NE(ledger.find(key), nullptr) << "key " << key;
+    const std::size_t distance = ledger.probe_distance(key);
+    result.ledger.mean += static_cast<double>(distance);
+    result.ledger.max = std::max(result.ledger.max, distance);
+  }
+  result.ledger.mean /= static_cast<double>(keys.size());
+  result.tx_major = ledger.tx_major();
+
+  std::vector<std::uint64_t> slots;  // key + 1; 0 marks an empty bucket
+  const auto insert = [&slots](std::uint64_t key) {
+    std::size_t i = mix64(key) & (slots.size() - 1);
+    while (slots[i] != 0) i = (i + 1) & (slots.size() - 1);
+    slots[i] = key + 1;
+  };
+  std::size_t buckets = 16;
+  while (hint.has_value() && buckets * 3 / 4 < *hint * 3 / 2) buckets *= 2;
+  slots.assign(buckets, 0);
+  std::size_t size = 0;
+  for (const std::uint64_t key : keys) {
+    if ((size + 1) * 4 > slots.size() * 3) {
+      std::vector<std::uint64_t> old(slots.size() * 2, 0);
+      old.swap(slots);
+      for (const std::uint64_t entry : old) {
+        if (entry != 0) insert(entry - 1);
+      }
+    }
+    insert(key);
+    ++size;
+  }
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i] == 0) continue;
+    const std::size_t distance = (i - mix64(slots[i] - 1)) & mask;
+    result.mixed.mean += static_cast<double>(distance);
+    result.mixed.max = std::max(result.mixed.max, distance);
+  }
+  result.mixed.mean /= static_cast<double>(size);
+  return result;
+}
+
+/// Holds the ledger to fixed probe-distance bounds, and the bounds to what
+/// the mixed layout reaches on the same keys.
+void expect_bounded(const LayoutComparison& probes, double mean_bound,
+                    std::size_t max_bound) {
+  EXPECT_LE(probes.ledger.mean, mean_bound);
+  EXPECT_LE(probes.ledger.max, max_bound);
+  EXPECT_LE(mean_bound, probes.mixed.mean);
+  EXPECT_LE(max_bound, probes.mixed.max);
+}
+
+TEST(OutpointLedgerLayout, BitcoinLikeStreamProbesNoFurtherThanMixed) {
+  workload::GeneratorTxSource source({}, 1, 200000);
+  const SpentKeys spent = spent_keys(source);
+  const LayoutComparison probes = compare_layouts(spent.keys, spent.txs);
+  EXPECT_TRUE(probes.tx_major);
+  // Measured: tx-major mean 0.375, max 8; mixed mean 0.670, max 41.
+  expect_bounded(probes, 0.40, 10);
+}
+
+TEST(OutpointLedgerLayout, HotspotStreamFallsBackToMixedHomes) {
+  // The hotspot scenario's shape over a 200k-tx Bitcoin-like stream: a
+  // rotating Zipfian hot set spent through synthetic vouts (mixed homes),
+  // plus a consolidation burst.
+  constexpr std::uint64_t kTxs = 200000;
+  workload::GeneratorTxSource inner({}, 1, kTxs);
+  workload::DynamicProfile profile;
+  profile.hotspot.injection_fraction = 0.10;
+  profile.hotspot.zipf_s = 1.2;
+  profile.hotspot.hot_set_size = 32;
+  profile.hotspot.fanout_inputs = 2;
+  profile.hotspot.rotation_interval = kTxs / 10;
+  profile.bursts = {{kTxs / 2, kTxs / 2 + kTxs / 10, 0.5, 24}};
+  workload::DynamicTxSource source(inner, profile, 1);
+  ASSERT_FALSE(source.size_hint().has_value());
+  const SpentKeys spent = spent_keys(source);
+  ASSERT_GT(std::count_if(spent.keys.begin(), spent.keys.end(),
+                          [](std::uint64_t key) {
+                            return static_cast<std::uint32_t>(key) >=
+                                   workload::DynamicTxSource::kInjectedVoutBase;
+                          }),
+            0);
+  // 2.3 outpoints per funder: pre-sized from the stream's length (as a
+  // materialized copy of it would be), tx-major homes crowd the funded
+  // front of the table while the synthetic ones spread over all of it, and
+  // the ledger falls back to mixed homes. Pulled through DynamicTxSource,
+  // as a sweep runs it, the length is unknown and homes are mixed
+  // throughout. Either way Robin Hood placement keeps the mixed layout's
+  // total displacement and shortens its longest probe (measured: mean
+  // 0.487 both, max 10 against 30).
+  for (const std::optional<std::uint64_t> hint :
+       {std::optional<std::uint64_t>(spent.txs),
+        std::optional<std::uint64_t>()}) {
+    const LayoutComparison probes = compare_layouts(spent.keys, hint);
+    EXPECT_FALSE(probes.tx_major);
+    EXPECT_DOUBLE_EQ(probes.ledger.mean, probes.mixed.mean);
+    expect_bounded(probes, probes.mixed.mean, 12);
+  }
+}
+
+TEST(OutpointLedgerLayout, AccountStreamProbesNoFurtherThanMixed) {
+  workload::AccountGeneratorTxSource source({}, 1, 200000);
+  const SpentKeys spent = spent_keys(source);
+  const LayoutComparison probes = compare_layouts(spent.keys, spent.txs);
+  EXPECT_TRUE(probes.tx_major);
+  // Measured: tx-major mean 0.106, max 1; mixed mean 0.302, max 15.
+  expect_bounded(probes, 0.15, 2);
 }
 
 // -------------------------------------------------------- InflightTable

@@ -566,15 +566,18 @@ TEST(PhaseProfilerTest, ProfiledRunSplitsTheSequentialEngine) {
   spec.profile = true;
   const api::RunReport report = api::simulate(spec, txs);
   ASSERT_TRUE(report.sim.has_value());
-  std::uint64_t ledger_calls = 0, fabric_calls = 0;
+  std::uint64_t ledger_calls = 0, fabric_calls = 0, commit_calls = 0;
   for (const api::ProfileEntry& entry : report.profile) {
     if (entry.phase == "sim.ledger") ledger_calls = entry.calls;
     if (entry.phase == "sim.fabric") fabric_calls = entry.calls;
+    if (entry.phase == "sim.commit") commit_calls = entry.calls;
   }
   // Every message of the run went through the fabric once; every
-  // transaction at least locked or spent its inputs.
+  // transaction at least locked or spent its inputs; every committed block
+  // was walked once.
   EXPECT_EQ(fabric_calls, report.sim->link_messages);
   EXPECT_GE(ledger_calls, report.sim->committed_txs);
+  EXPECT_EQ(commit_calls, report.sim->total_blocks);
   // A profiled run is bit-identical to an unprofiled one.
   api::RunSpec plain = spec;
   plain.profile = false;

@@ -3,7 +3,12 @@
 // determinism, protocol semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -73,8 +78,9 @@ TEST(EventQueueTest, TieBreaksByContentKey) {
 }
 
 TEST(EventQueueTest, IdenticalSimultaneousEventsKeepScheduleOrder) {
-  // The seq fallback only kicks in for byte-identical events (same time,
-  // same content) — engine-local duplicates where either order is fine.
+  // Two entries with the same time and content are byte-identical events
+  // (content_order compares every field), so the queue needs no schedule
+  // sequence number: either pop order hands the handler the same events.
   EventQueue queue;
   RecordingHandler handler(queue);
   queue.schedule(1.0, Event::tx_issue(7));
@@ -84,6 +90,141 @@ TEST(EventQueueTest, IdenticalSimultaneousEventsKeepScheduleOrder) {
   ASSERT_EQ(handler.events.size(), 2u);
   EXPECT_EQ(handler.events[0].tx, 7u);
   EXPECT_EQ(handler.events[1].tx, 7u);
+}
+
+static_assert(sizeof(EventQueue::Entry) == 24,
+              "a heap entry is the time plus the 12-byte event");
+
+using Scheduled = std::pair<SimTime, Event>;
+
+bool same_event(const Event& a, const Event& b) {
+  return a.type == b.type && a.flag == b.flag && a.shard == b.shard &&
+         a.tx == b.tx;
+}
+
+/// A random schedule made of few distinct times and a small payload space,
+/// so exact-time ties between different events are everywhere, plus
+/// byte-identical duplicates.
+std::vector<Scheduled> tie_heavy_schedule(std::uint64_t seed, std::size_t n,
+                                          SimTime earliest) {
+  std::mt19937_64 rng(seed);
+  std::vector<Scheduled> schedule;
+  while (schedule.size() < n) {
+    const SimTime time = earliest + static_cast<double>(rng() % 12) * 0.25;
+    const auto tx = static_cast<std::uint32_t>(rng() % 6);
+    const auto shard = static_cast<std::uint32_t>(rng() % 4);
+    Event event;
+    switch (rng() % 6) {
+      case 0:
+        event = Event::tx_issue(tx);
+        break;
+      case 1:
+        event = Event::deliver(EventType::kLockRequest, shard, tx);
+        break;
+      case 2:
+        event = Event::deliver(EventType::kTxDeliver, shard, tx);
+        break;
+      case 3:
+        event = Event::proof(tx, shard, rng() % 2 == 0);
+        break;
+      case 4:
+        event = Event::round_complete(shard, rng() % 2 == 0);
+        break;
+      default:
+        event = Event::queue_sample();
+        break;
+    }
+    schedule.emplace_back(time, event);
+    if (rng() % 3 == 0) schedule.emplace_back(time, event);  // duplicate
+  }
+  return schedule;
+}
+
+/// `pending` in the order the queue must pop it: sorted on (time, content).
+std::vector<Scheduled> reference_order(std::vector<Scheduled> pending) {
+  std::sort(pending.begin(), pending.end(),
+            [](const Scheduled& a, const Scheduled& b) {
+              return event_key_less(a.first, a.second, b.first, b.second);
+            });
+  return pending;
+}
+
+/// Pops every pending event and checks it against `expected`.
+void expect_pops(EventQueue& queue, const std::vector<Scheduled>& expected) {
+  RecordingHandler handler(queue);
+  while (queue.run_one(handler)) {
+  }
+  ASSERT_EQ(handler.events.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(handler.times[i], expected[i].first) << "pop " << i;
+    EXPECT_TRUE(same_event(handler.events[i], expected[i].second))
+        << "pop " << i;
+  }
+}
+
+TEST(EventQueueTest, TieHeavyScheduleMatchesAReferenceSort) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<Scheduled> schedule =
+        tie_heavy_schedule(seed, 50 + 40 * seed, 0.0);
+    EventQueue queue;
+    for (const auto& [time, event] : schedule) queue.schedule(time, event);
+    EXPECT_EQ(queue.peak_pending(), schedule.size());
+    expect_pops(queue, reference_order(schedule));
+  }
+}
+
+TEST(EventQueueTest, TieHeavyScheduleMatchesAReferenceSortAfterExtract) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<Scheduled> schedule =
+        tie_heavy_schedule(seed, 50 + 40 * seed, 1.0);
+    EventQueue queue;
+    for (const auto& [time, event] : schedule) queue.schedule(time, event);
+    // Pop a prefix, then pull out every event of shard 1 (what churn does
+    // to a retiring shard group), which re-heapifies the rest.
+    RecordingHandler prefix(queue);
+    queue.run_until(1.5, prefix);
+    const std::vector<Scheduled> order = reference_order(schedule);
+    ASSERT_LT(prefix.events.size(), order.size());
+    for (std::size_t i = 0; i < prefix.events.size(); ++i) {
+      EXPECT_EQ(prefix.times[i], order[i].first) << "pop " << i;
+      EXPECT_TRUE(same_event(prefix.events[i], order[i].second)) << "pop " << i;
+    }
+    const auto of_shard_one = [](const Event& event) {
+      return event.type != EventType::kTxIssue &&
+             event.type != EventType::kQueueSample && event.shard == 1;
+    };
+    std::vector<Scheduled> kept, matching;
+    for (std::size_t i = prefix.events.size(); i < order.size(); ++i) {
+      (of_shard_one(order[i].second) ? matching : kept).push_back(order[i]);
+    }
+    ASSERT_FALSE(matching.empty());
+    const std::vector<Scheduled> extracted =
+        reference_order(queue.extract_if(of_shard_one));
+    ASSERT_EQ(extracted.size(), matching.size());
+    for (std::size_t i = 0; i < matching.size(); ++i) {
+      EXPECT_EQ(extracted[i].first, matching[i].first);
+      EXPECT_TRUE(same_event(extracted[i].second, matching[i].second));
+    }
+    // What stays pops in reference order straight after the re-heapify.
+    {
+      EventQueue copy = queue;
+      expect_pops(copy, kept);
+    }
+    // Re-scheduling the extracted events plus a fresh tie-heavy batch
+    // restores one (time, content) order over everything pending.
+    std::vector<Scheduled> pending = kept;
+    for (const Scheduled& entry : extracted) {
+      queue.schedule(entry.first, entry.second);
+      pending.push_back(entry);
+    }
+    for (const Scheduled& entry :
+         tie_heavy_schedule(seed + 100, 30, queue.now())) {
+      queue.schedule(entry.first, entry.second);
+      pending.push_back(entry);
+    }
+    EXPECT_EQ(queue.pending(), pending.size());
+    expect_pops(queue, reference_order(pending));
+  }
 }
 
 TEST(EventQueueTest, EventsMayScheduleEvents) {
@@ -237,8 +378,11 @@ TEST(ShardNodeTest, ProcessesQueueInBlocks) {
   consensus.txs_per_block = 2;  // tiny blocks to observe batching
   CommitLog log;
   ShardNode shard(0, {0.5, 0.5}, ConsensusModel(consensus, net, {0.5, 0.5}, rng),
-                  events, [&](std::uint32_t, const QueueItem& item, SimTime t) {
-                    log.items.emplace_back(item, t);
+                  events, [&](std::uint32_t, std::span<const QueueItem> block,
+                              SimTime t) {
+                    for (const QueueItem& item : block) {
+                      log.items.emplace_back(item, t);
+                    }
                   });
   ShardRouter router(shard);
 
@@ -263,14 +407,68 @@ TEST(ShardNodeTest, ProcessesQueueInBlocks) {
   EXPECT_DOUBLE_EQ(log.items[3].second, log.items[4].second);
 }
 
+TEST(ShardNodeTest, CommitsEachBlockInOneCallback) {
+  EventQueue events;
+  NetworkModel net;
+  Rng rng(8);
+  ConsensusConfig consensus;
+  consensus.txs_per_block = 3;
+  std::vector<std::vector<QueueItem>> blocks;
+  std::vector<SimTime> commit_times;
+  ShardNode shard(2, {0.5, 0.5},
+                  ConsensusModel(consensus, net, {0.5, 0.5}, rng), events,
+                  [&](std::uint32_t id, std::span<const QueueItem> block,
+                      SimTime t) {
+                    EXPECT_EQ(id, 2u);
+                    EXPECT_EQ(t, events.now());
+                    blocks.emplace_back(block.begin(), block.end());
+                    commit_times.push_back(t);
+                  });
+  ShardRouter router(shard);
+  // Items of every kind, some queued up front and some arriving while a
+  // round is in flight.
+  const ItemKind kinds[] = {ItemKind::kSameShard, ItemKind::kLock,
+                            ItemKind::kCommit};
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    shard.enqueue(QueueItem{i, kinds[i % 3]});
+  }
+  for (std::uint32_t i = 5; i < 9; ++i) {
+    events.schedule(0.01 * i, Event::deliver(EventType::kTxDeliver, 2, i));
+  }
+  while (events.run_one(router)) {
+  }
+  EXPECT_EQ(blocks.size(), shard.blocks_committed());
+  EXPECT_EQ(shard.items_committed(), 9u);
+  // One callback per block, blocks of at most txs_per_block, FIFO overall.
+  std::uint32_t next = 0;
+  for (const std::vector<QueueItem>& block : blocks) {
+    ASSERT_FALSE(block.empty());
+    EXPECT_LE(block.size(), 3u);
+    for (const QueueItem& item : block) {
+      EXPECT_EQ(item.tx, next);
+      EXPECT_EQ(item.kind, next < 5 ? kinds[next % 3] : ItemKind::kSameShard);
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, 9u);
+  // The first enqueue starts a round with item 0 alone; the rest batch.
+  EXPECT_EQ(blocks.front().size(), 1u);
+  for (std::size_t b = 1; b < commit_times.size(); ++b) {
+    EXPECT_LT(commit_times[b - 1], commit_times[b]);
+  }
+}
+
 TEST(ShardNodeTest, IdleUntilWorkArrives) {
   EventQueue events;
   NetworkModel net;
   Rng rng(5);
   CommitLog log;
   ShardNode shard(0, {0.5, 0.5}, ConsensusModel({}, net, {0.5, 0.5}, rng),
-                  events, [&](std::uint32_t, const QueueItem& item, SimTime t) {
-                    log.items.emplace_back(item, t);
+                  events, [&](std::uint32_t, std::span<const QueueItem> block,
+                              SimTime t) {
+                    for (const QueueItem& item : block) {
+                      log.items.emplace_back(item, t);
+                    }
                   });
   ShardRouter router(shard);
   EXPECT_TRUE(events.empty());
@@ -286,7 +484,8 @@ TEST(ShardNodeTest, LastRoundDurationTracksBlockSize) {
   NetworkModel net;
   Rng rng(6);
   ShardNode shard(0, {0.5, 0.5}, ConsensusModel({}, net, {0.5, 0.5}, rng),
-                  events, [](std::uint32_t, const QueueItem&, SimTime) {});
+                  events, [](std::uint32_t, std::span<const QueueItem>,
+                             SimTime) {});
   ShardRouter router(shard);
   const double initial = shard.last_round_duration();
   shard.enqueue(QueueItem{0, ItemKind::kSameShard});

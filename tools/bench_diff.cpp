@@ -5,7 +5,7 @@
 // turns "the refactor made placement 30% slower" into a red CI run instead
 // of a note someone spots weeks later:
 //
-//   bench-diff --baseline=bench/baselines/BENCH_scale.json \
+//   bench-diff --baseline=bench/baselines/BENCH_scale.json
 //              --current=build/BENCH_scale.json
 //
 // Checked metrics: placement tx/s ("placement" → "tx_per_s") and event

@@ -6,8 +6,8 @@
 // percentiles — the ROADMAP's "placement as a service" north-star measured
 // end to end instead of extrapolated from a one-shot bench.
 //
-//   optchain-serve --trace=snapshot.optx --duration=5s \
-//       --place_jobs=4 --batch=512 --out=BENCH_serve.json
+//   optchain-serve --trace=snapshot.optx --duration=5s
+//                  --place_jobs=4 --batch=512 --out=BENCH_serve.json
 //
 // Each pass decodes nothing: the trace window is materialized once at
 // startup (use --stream to re-decode from disk every pass instead, which
